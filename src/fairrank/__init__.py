@@ -6,7 +6,7 @@ adversarial debiasing trainer for each, penalty-based baselines, and the
 data/evaluation plumbing plus a CLI to drive it all.
 """
 
-from .adversary import AdversaryParams, adv_forward, adv_loss, init_adversary
+from .adversary import AdversaryParams, init_adversary
 from .config import ExperimentConfig, load_config
 from .data import (
     GroupCatalog,
@@ -16,7 +16,6 @@ from .data import (
     generate_synthetic,
     load_groups,
     load_interactions,
-    sample_negatives,
     split,
 )
 from .errors import (
@@ -40,16 +39,7 @@ from .evaluation import (
     relative_std,
     user_divergence,
 )
-from .mf import (
-    FatrParams,
-    MfParams,
-    init_fatr_params,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-    score,
-    score_all,
-)
+from .mf import MfParams, init_params, load_checkpoint, save_checkpoint
 from .objectives import (
     ObjectiveWeights,
     bpr_pair_loss,
@@ -58,14 +48,6 @@ from .objectives import (
     reg_reo_penalty,
     reg_rsp_penalty,
 )
-from .trainer import (
-    MODEL_KINDS,
-    TrainConfig,
-    TrainResult,
-    train,
-    train_baseline,
-    train_bpr,
-    train_dpr,
-)
+from .trainer import MODEL_KINDS, TrainConfig, TrainResult, train
 
 __version__ = "0.1.0"

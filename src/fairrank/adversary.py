@@ -90,18 +90,6 @@ def forward_scores(psi, scores):
     return _forward(psi, scores)[2]
 
 
-def adv_forward(psi, score):
-    """Group probabilities for a single score, shape (A,)."""
-    return forward_scores(psi, np.array([score]))[0]
-
-
-def adv_loss(probs, labels):
-    """Summed Bernoulli log-likelihood, <= 0; perfect prediction gives ~0."""
-    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    g = np.asarray(labels, dtype=np.float64)
-    return float(np.sum(g * np.log(p) + (1.0 - g) * np.log1p(-p)))
-
-
 def loglik_and_grads(psi, scores, labels):
     """Batched log-likelihood with all gradients.
 
@@ -132,11 +120,3 @@ def loglik_and_grads(psi, scores, labels):
         grads[f"b{idx}"] = dpre.sum(axis=0)
         dh = dpre @ psi.weights[idx].T
     return ll, grads, dh[:, 0]
-
-
-def adv_backward(psi, score, labels):
-    """Gradients of the log-likelihood wrt parameters and the scalar input."""
-    _, grads, d_score = loglik_and_grads(
-        psi, np.array([score]), np.asarray(labels, dtype=np.float64)[None, :]
-    )
-    return grads, float(d_score[0])

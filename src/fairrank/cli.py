@@ -147,6 +147,8 @@ def _all_train_dataset(raw):
 
 
 def cmd_audit(args):
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     raw = load_interactions(args.interactions)
     catalog = load_groups(args.groups, raw.item_index)
     items, feedback, ratios, spread = group_ratio_stats(catalog, raw.pairs)
@@ -326,3 +328,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

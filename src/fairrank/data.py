@@ -279,34 +279,6 @@ def split(raw, ratios=DEFAULT_RATIOS, seed=0):
     )
 
 
-def sample_negatives(dataset, user, count, rng):
-    """Draw items uniformly with replacement outside a user's train positives.
-
-    Args:
-        dataset: InteractionDataset.
-        user: dense user index.
-        count: number of draws, >= 1.
-        rng: numpy Generator; consumed deterministically.
-
-    Returns:
-        (count,) int64 array, never intersecting the user's training items.
-
-    Raises:
-        DataError: if the user's training positives cover the whole catalog.
-    """
-    if count < 1:
-        raise ConfigError("count: must be >= 1")
-    pos = dataset.train_pos[user]
-    if len(pos) >= dataset.num_items:
-        raise DataError(f"user {user} has no candidate negative items")
-    out = rng.integers(0, dataset.num_items, size=count)
-    bad = np.isin(out, pos)
-    while bad.any():
-        out[bad] = rng.integers(0, dataset.num_items, size=int(bad.sum()))
-        bad = np.isin(out, pos)
-    return out
-
-
 @dataclass
 class SyntheticSpec:
     """Parameters of the biased synthetic implicit-feedback generator."""

@@ -42,7 +42,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN):
     """Top-k items per user, excluded items masked out.
 
     Args:
-        params: model parameters (MfParams or FatrParams).
+        params: MfParams.
         dataset: InteractionDataset matching the model dimensions.
         k: list length, >= 1.
         exclude: "train" or "train+val"; masked items never appear.

@@ -1,4 +1,4 @@
-"""Matrix-factorization parameters, scoring, Adam updates, checkpoints."""
+"""Matrix-factorization parameters, Adam updates, checkpoints."""
 
 import json
 from dataclasses import dataclass
@@ -38,67 +38,14 @@ class MfParams:
     def item_matrix(self):
         return self.item_factors
 
-    def blocks(self):
-        # trainable blocks, keyed for the optimizer
+    def arrays(self):
         return {
             "user_factors": self.user_factors,
             "item_factors": self.item_factors,
         }
 
-    def arrays(self):
-        return self.blocks()
-
     def copy(self):
         return MfParams(self.user_factors.copy(), self.item_factors.copy())
-
-
-@dataclass
-class FatrParams:
-    """Factors with a frozen group-indicator block stacked under the free one.
-
-    item_free is (d - A, M); item_sensitive is the constant (A, M) 0/1 group
-    indicator.  The effective item matrix is their vertical concatenation.
-    """
-
-    user_factors: np.ndarray    # (N, d)
-    item_free: np.ndarray       # (d - A, M), trained
-    item_sensitive: np.ndarray  # (A, M), frozen
-
-    @property
-    def num_users(self):
-        return self.user_factors.shape[0]
-
-    @property
-    def num_items(self):
-        return self.item_free.shape[1]
-
-    @property
-    def dim(self):
-        return self.item_free.shape[0] + self.item_sensitive.shape[0]
-
-    def item_matrix(self):
-        return np.vstack([self.item_free, self.item_sensitive]).T
-
-    def blocks(self):
-        # item_sensitive stays out: it is never updated
-        return {
-            "user_factors": self.user_factors,
-            "item_free": self.item_free,
-        }
-
-    def arrays(self):
-        return {
-            "user_factors": self.user_factors,
-            "item_free": self.item_free,
-            "item_sensitive": self.item_sensitive,
-        }
-
-    def copy(self):
-        return FatrParams(
-            self.user_factors.copy(),
-            self.item_free.copy(),
-            self.item_sensitive.copy(),
-        )
 
 
 def _rng_of(seed):
@@ -107,45 +54,29 @@ def _rng_of(seed):
     return np.random.default_rng(seed)
 
 
-def init_params(num_users, num_items, dim, seed):
-    """Normal(0, 0.01) entries; bit-identical matrices for a given seed."""
+def init_params(num_users, num_items, dim, seed, frozen=None):
+    """Normal(0, 0.01) entries; bit-identical matrices for a given seed.
+
+    frozen: optional (num_items, A) block (FATR's group indicators) that
+    fills the last A item columns.  The other columns are then drawn as a
+    (dim - A, num_items) block and transposed, the stream FATR has always
+    used, so a seed gives the same factors as before the layouts merged.
+    """
     if dim < 1:
         raise ConfigError("dim: must be >= 1")
     rng = _rng_of(seed)
     p = rng.normal(0.0, INIT_STD, size=(num_users, dim))
-    q = rng.normal(0.0, INIT_STD, size=(num_items, dim))
+    if frozen is None:
+        q = rng.normal(0.0, INIT_STD, size=(num_items, dim))
+    else:
+        num_frozen = frozen.shape[1]
+        if num_frozen >= dim:
+            raise ConfigError(
+                f"dim: fatr needs num_groups < dim, got {num_frozen} >= {dim}"
+            )
+        q_free = rng.normal(0.0, INIT_STD, size=(dim - num_frozen, num_items))
+        q = np.hstack([q_free.T, frozen.astype(np.float64)])
     return MfParams(p, q)
-
-
-def init_fatr_params(num_users, num_items, dim, memberships, seed):
-    """Free block initialized like init_params; indicator block frozen to
-    the catalog memberships."""
-    num_groups = memberships.shape[1]
-    if num_groups >= dim:
-        raise ConfigError(
-            f"dim: fatr needs num_groups < dim, got {num_groups} >= {dim}"
-        )
-    rng = _rng_of(seed)
-    p = rng.normal(0.0, INIT_STD, size=(num_users, dim))
-    q_free = rng.normal(0.0, INIT_STD, size=(dim - num_groups, num_items))
-    q_sens = memberships.T.astype(np.float64)
-    return FatrParams(p, q_free, q_sens)
-
-
-def score(params, user, item):
-    """Predicted preference of one user for one item."""
-    if not (0 <= user < params.num_users):
-        raise IndexError(f"user index {user} out of range")
-    if not (0 <= item < params.num_items):
-        raise IndexError(f"item index {item} out of range")
-    return float(params.user_factors[user] @ params.item_matrix()[item])
-
-
-def score_all(params, user):
-    """Scores of one user against every item, shape (M,)."""
-    if not (0 <= user < params.num_users):
-        raise IndexError(f"user index {user} out of range")
-    return params.item_matrix() @ params.user_factors[user]
 
 
 class AdamState:
@@ -212,7 +143,6 @@ def save_checkpoint(path, params, config_hash="", adversary=None):
     little-endian float64 bytes in header order.  Round-trips losslessly.
     """
     arrays = dict(params.arrays())
-    kind = "fatr" if isinstance(params, FatrParams) else "mf"
     adv_meta = None
     if adversary is not None:
         for idx, w in enumerate(adversary.weights):
@@ -223,7 +153,7 @@ def save_checkpoint(path, params, config_hash="", adversary=None):
     header = {
         "magic": _CKPT_MAGIC,
         "version": _CKPT_VERSION,
-        "kind": kind,
+        "kind": "mf",
         "num_users": params.num_users,
         "num_items": params.num_items,
         "dim": params.dim,
@@ -243,8 +173,14 @@ def save_checkpoint(path, params, config_hash="", adversary=None):
 def load_checkpoint(path):
     """Inverse of save_checkpoint.
 
+    Also reads checkpoints of kind "fatr", which stored the item factors as
+    a transposed trained block and a transposed indicator block.
+
     Returns:
         (params, adversary or None, config_hash)
+
+    Raises:
+        DataError: if the file is not a complete, well-formed checkpoint.
     """
     from .adversary import AdversaryParams
 
@@ -254,33 +190,49 @@ def load_checkpoint(path):
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: not a checkpoint file") from exc
-        if header.get("magic") != _CKPT_MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != _CKPT_MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
         if header.get("version") != _CKPT_VERSION:
             raise DataError(
                 f"{path}: unsupported checkpoint version {header.get('version')}"
             )
+        try:
+            metas = [
+                (meta["name"], tuple(int(n) for n in meta["shape"]))
+                for meta in header["arrays"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed checkpoint header") from exc
         arrays = {}
-        for meta in header["arrays"]:
-            shape = tuple(meta["shape"])
+        for name, shape in metas:
             n = int(np.prod(shape)) if shape else 1
             buf = fh.read(n * 8)
             if len(buf) != n * 8:
                 raise DataError(f"{path}: truncated checkpoint")
-            arrays[meta["name"]] = (
+            arrays[name] = (
                 np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
             )
-    if header["kind"] == "fatr":
-        params = FatrParams(
-            arrays["user_factors"],
-            arrays["item_free"],
-            arrays["item_sensitive"],
-        )
+        if fh.read(1):
+            raise DataError(f"{path}: unexpected bytes after the last array")
+    fatr = header.get("kind") == "fatr"
+    if fatr:
+        needed = ["user_factors", "item_free", "item_sensitive"]
     else:
-        params = MfParams(arrays["user_factors"], arrays["item_factors"])
-    adversary = None
+        needed = ["user_factors", "item_factors"]
+    n_layers = 0
     if header.get("adversary"):
         n_layers = header["adversary"]["num_layers"]
+    needed += [f"adv_{p}{i}" for p in "wb" for i in range(n_layers)]
+    missing = [name for name in needed if name not in arrays]
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    if fatr:
+        items = np.hstack([arrays["item_free"].T, arrays["item_sensitive"].T])
+    else:
+        items = arrays["item_factors"]
+    params = MfParams(arrays["user_factors"], items)
+    adversary = None
+    if n_layers:
         adversary = AdversaryParams(
             [arrays[f"adv_w{i}"] for i in range(n_layers)],
             [arrays[f"adv_b{i}"] for i in range(n_layers)],

@@ -28,19 +28,12 @@ import numpy as np
 from . import adversary as adv
 from .errors import ConfigError, DataError, TrainingDiverged
 from .evaluation import f1_at_k, rank_topk
-from .mf import (
-    AdamState,
-    FatrParams,
-    adam_step,
-    init_fatr_params,
-    init_params,
-)
+from .mf import AdamState, adam_step, init_params
 from .objectives import (
     KL_VAR_FLOOR,
     ObjectiveWeights,
     bpr_pair_loss_batch,
     fatr_reg,
-    reg_reo_penalty,
     reg_rsp_penalty,
 )
 
@@ -240,7 +233,10 @@ class _BatchStream:
 
 
 def _scatter_rows(nrows, ncols, parts):
-    """Sum (idx, vals) contributions into a dense (nrows, ncols) array."""
+    """Sum (idx, vals) contributions into a dense (nrows, ncols) array.
+
+    Each row adds its contributions in the order ``parts`` lists them.
+    """
     acc = np.zeros((nrows, ncols))
     if not parts:
         return acc
@@ -262,22 +258,21 @@ class _Trainer:
         self.ds = dataset
         self.catalog = catalog
         seeds = np.random.SeedSequence(config.seed).generate_state(4)
-        if config.kind == "fatr":
-            self.params = init_fatr_params(
-                dataset.num_users,
-                dataset.num_items,
-                config.dim,
-                catalog.memberships,
-                np.random.default_rng(int(seeds[0])),
-            )
-        else:
-            self.params = init_params(
-                dataset.num_users,
-                dataset.num_items,
-                config.dim,
-                np.random.default_rng(int(seeds[0])),
-            )
-        self.adam_theta = AdamState(self.params.blocks())
+        # fatr: the group indicators are the last item columns, never trained
+        frozen = catalog.memberships if config.kind == "fatr" else None
+        self.params = init_params(
+            dataset.num_users,
+            dataset.num_items,
+            config.dim,
+            np.random.default_rng(int(seeds[0])),
+            frozen=frozen,
+        )
+        n_free = config.dim - (0 if frozen is None else frozen.shape[1])
+        self.theta = {
+            "user_factors": self.params.user_factors,
+            "item_factors": self.params.item_factors[:, :n_free],
+        }
+        self.adam_theta = AdamState(self.theta)
         self.stream = _BatchStream(
             dataset,
             config.batch_size,
@@ -317,11 +312,15 @@ class _Trainer:
         Returns (pair_loss_mean, kl_value) with kl_value nan when beta == 0.
         """
         users, items, negs = batch
-        params = self.params
-        p_mat = params.user_factors
-        imat = params.item_matrix()
+        p_mat = self.params.user_factors
+        imat = self.params.item_factors
         b, r = negs.shape
         dim = p_mat.shape[1]
+        # the step touches the batch's users and its positive and negative
+        # items; the gradient parts index those rows by position
+        i_inst = np.concatenate([items, negs.ravel()])
+        u_rows, u_pos = np.unique(users, return_inverse=True)
+        i_rows, i_pos = np.unique(i_inst, return_inverse=True)
         pu = p_mat[users]
         vi = imat[items]
         vj = imat[negs]
@@ -334,91 +333,93 @@ class _Trainer:
         user_parts, item_parts = [], []
         if include_ranking:
             du = (g_pos[:, :, None] * (vi[:, None, :] - vj)).sum(axis=1)
-            user_parts.append((users, (du + l2 * r * pu) * scale))
+            user_parts.append((u_pos, (du + l2 * r * pu) * scale))
             di = g_pos.sum(axis=1)[:, None] * pu + l2 * r * vi
-            item_parts.append((items, di * scale))
+            item_parts.append((i_pos[:b], di * scale))
             dj = (-g_pos)[:, :, None] * pu[:, None, :] + l2 * vj
-            item_parts.append((negs.ravel(), dj.reshape(-1, dim) * scale))
-        rep_users = np.repeat(users, r)
+            item_parts.append((i_pos[b:], dj.reshape(-1, dim) * scale))
+        # score terms see the b positives, then the b * r negatives
+        s_inst = np.concatenate([s_pos, s_neg.ravel()])
+        u_inst = np.concatenate([users, np.repeat(users, r)])
+        u_pos_inst = np.concatenate([u_pos, np.repeat(u_pos, r)])
+        terms = []  # (weighted value, dL/ds over a prefix of the instances)
         if alpha != 0.0 and self.psi is not None:
-            ll_i, _, dy_i = adv.loglik_and_grads(self.psi, s_pos, self.G[items])
-            adv_value = r * float(ll_i.sum()) * scale
-            coef_i = (alpha * r * scale) * dy_i
-            user_parts.append((users, coef_i[:, None] * vi))
-            item_parts.append((items, coef_i[:, None] * pu))
-            if self.cfg.kind == "dpr-rsp":
-                ll_j, _, dy_j = adv.loglik_and_grads(
-                    self.psi, s_neg.ravel(), self.G[negs.ravel()]
-                )
-                adv_value += float(ll_j.sum()) * scale
-                coef_j = (alpha * scale) * dy_j
-                user_parts.append(
-                    (rep_users, coef_j[:, None] * vj.reshape(-1, dim))
-                )
-                item_parts.append(
-                    (negs.ravel(), coef_j[:, None] * p_mat[rep_users])
-                )
-            total += alpha * adv_value
+            terms.append(self._theta_adv_term(s_inst, i_inst, b, r, alpha))
         kl_value = float("nan")
         if beta != 0.0:
-            s_inst = np.concatenate([s_pos, s_neg.ravel()])
-            u_inst = np.concatenate([users, rep_users])
-            i_inst = np.concatenate([items, negs.ravel()])
-            kl_value, g_inst = _batch_kl(s_inst, u_inst)
-            user_parts.append((u_inst, (beta * g_inst)[:, None] * imat[i_inst]))
-            item_parts.append((i_inst, (beta * g_inst)[:, None] * p_mat[u_inst]))
-            total += beta * kl_value
+            kl_value, g_kl = _batch_kl(s_inst, u_inst)
+            terms.append((beta * kl_value, beta * g_kl))
         if self.cfg.kind in ("reg-rsp", "reg-reo"):
-            lam = self.cfg.weights.lambda_model
-            if self.cfg.kind == "reg-rsp":
-                s_sel = np.concatenate([s_pos, s_neg.ravel()])
-                u_sel = np.concatenate([users, rep_users])
-                i_sel = np.concatenate([items, negs.ravel()])
-            else:
-                s_sel, u_sel, i_sel = s_pos, users, items
-            in_g1 = self.G[i_sel, 0] > 0
-            in_g2 = self.G[i_sel, 1] > 0
-            pen, grad1, grad2 = reg_rsp_penalty(s_sel[in_g1], s_sel[in_g2])
-            g_sel = np.zeros(len(s_sel))
-            g_sel[in_g1] += grad1
-            g_sel[in_g2] += grad2
-            g_sel *= lam
-            user_parts.append((u_sel, g_sel[:, None] * imat[i_sel]))
-            item_parts.append((i_sel, g_sel[:, None] * p_mat[u_sel]))
-            total += lam * pen
-        reg_grad = None
+            terms.append(self._gap_term(s_inst, i_inst, b))
+        for value, g in terms:
+            n = len(g)
+            # products formed in the gathered rows keep fewer large
+            # temporaries alive, which saves page faults on small corpora
+            du_term = imat[i_inst[:n]]
+            du_term *= g[:, None]
+            di_term = p_mat[u_inst[:n]]
+            di_term *= g[:, None]
+            user_parts.append((u_pos_inst[:n], du_term))
+            item_parts.append((i_pos[:n], di_term))
+            total += value
+        n_free = self.theta["item_factors"].shape[1]
+        item_dense = None
         if self.cfg.kind == "fatr":
             lam = self.cfg.weights.lambda_model
             reg_loss, reg_grad = fatr_reg(
-                params.item_free, params.item_sensitive
+                imat[:, :n_free].T, imat[:, n_free:].T
             )
-            reg_grad = lam * reg_grad
             total += lam * reg_loss
+            # the cross-Gram gradient reaches every item
+            item_dense = (lam * reg_grad).T
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"batch loss is not finite ({total}); try a smaller "
                 "learning rate"
             )
-        acc_u = _scatter_rows(params.num_users, dim, user_parts)
-        acc_i = _scatter_rows(params.num_items, dim, item_parts)
-        touched_u = np.unique(users)
-        if isinstance(params, FatrParams):
-            n_free = params.item_free.shape[0]
-            g_free = acc_i[:, :n_free].T
-            if reg_grad is not None:
-                g_free = g_free + reg_grad
-            grads = {
-                "user_factors": (touched_u, acc_u[touched_u]),
-                "item_free": (None, g_free),
-            }
-        else:
-            touched_i = np.unique(np.concatenate([items, negs.ravel()]))
-            grads = {
-                "user_factors": (touched_u, acc_u[touched_u]),
-                "item_factors": (touched_i, acc_i[touched_i]),
-            }
-        adam_step(self.adam_theta, params.blocks(), grads, self.cfg.lr_bpr)
+        g_items = _scatter_rows(len(i_rows), dim, item_parts)[:, :n_free]
+        if item_dense is not None:
+            item_dense[i_rows] += g_items
+            i_rows, g_items = None, item_dense
+        g_users = _scatter_rows(len(u_rows), dim, user_parts)
+        grads = {
+            "user_factors": (u_rows, g_users),
+            "item_factors": (i_rows, g_items),
+        }
+        adam_step(self.adam_theta, self.theta, grads, self.cfg.lr_bpr)
         return pair_loss, kl_value
+
+    def _theta_adv_term(self, s_inst, i_inst, b, r, alpha):
+        """alpha times the discriminator's mean log-likelihood on the batch:
+        positives weighted r each, plus the negatives for dpr-rsp."""
+        scale = 1.0 / (b * r)
+        ll_i, _, dy_i = adv.loglik_and_grads(
+            self.psi, s_inst[:b], self.G[i_inst[:b]]
+        )
+        value = r * float(ll_i.sum()) * scale
+        grads = [(alpha * r * scale) * dy_i]
+        if self.cfg.kind == "dpr-rsp":
+            ll_j, _, dy_j = adv.loglik_and_grads(
+                self.psi, s_inst[b:], self.G[i_inst[b:]]
+            )
+            value += float(ll_j.sum()) * scale
+            grads.append((alpha * scale) * dy_j)
+        return alpha * value, np.concatenate(grads)
+
+    def _gap_term(self, s_inst, i_inst, b):
+        """lambda_model times the squared gap between the two groups' mean
+        scores: every instance for reg-rsp, positives only for reg-reo."""
+        lam = self.cfg.weights.lambda_model
+        n = len(s_inst) if self.cfg.kind == "reg-rsp" else b
+        s_sel = s_inst[:n]
+        in_g1 = self.G[i_inst[:n], 0] > 0
+        in_g2 = self.G[i_inst[:n], 1] > 0
+        pen, grad1, grad2 = reg_rsp_penalty(s_sel[in_g1], s_sel[in_g2])
+        g_sel = np.zeros(n)
+        g_sel[in_g1] += grad1
+        g_sel[in_g2] += grad2
+        g_sel *= lam
+        return lam * pen, g_sel
 
     def _theta_batches(self, n_batches, alpha, beta, l2):
         pair_sum = 0.0
@@ -515,67 +516,37 @@ class _Trainer:
             EpochRecord(epoch, pair, sweep_ll, kl, val, seconds)
         )
 
-    def run(self):
+    def _epoch_plan(self):
+        """(sweep first?, theta batches, alpha, beta, l2) for each epoch."""
         cfg = self.cfg
-        epoch = 0
         w = cfg.weights
-        if cfg.kind in _DPR_KINDS:
-            for _ in range(cfg.pretrain_epochs):
-                epoch += 1
-                t0 = time.perf_counter()
-                pair, _ = self._theta_batches(
-                    self.stream.batches_per_epoch, 0.0, 0.0, w.lambda_theta
-                )
-                self._finish_epoch(
-                    epoch,
-                    pair,
-                    float("nan"),
-                    float("nan"),
-                    time.perf_counter() - t0,
-                )
-            for _ in range(cfg.epochs):
-                epoch += 1
-                t0 = time.perf_counter()
-                sweep_ll = self._psi_sweep()
-                pair, kl = self._theta_batches(
-                    cfg.theta_batches_per_round,
-                    w.alpha,
-                    w.beta,
-                    w.lambda_theta,
-                )
-                self._finish_epoch(
-                    epoch, pair, sweep_ll, kl, time.perf_counter() - t0
-                )
-        else:
-            if cfg.kind == "bpr":
-                alpha, beta, l2 = 0.0, 0.0, w.lambda_theta
-            else:
-                alpha, beta, l2 = 0.0, w.beta, w.gamma_or_default()
-            for _ in range(cfg.epochs):
-                epoch += 1
-                t0 = time.perf_counter()
-                pair, kl = self._theta_batches(
-                    self.stream.batches_per_epoch, alpha, beta, l2
-                )
-                self._finish_epoch(
-                    epoch, pair, float("nan"), kl, time.perf_counter() - t0
-                )
-        if self.best is not None:
-            best_f1, best_params, best_psi = self.best
-            return TrainResult(
-                best_params,
-                self.params,
-                best_psi if best_psi is not None else self.psi,
-                self.log,
-                self.adv_samples_per_sweep,
-                best_f1,
+        full = self.stream.batches_per_epoch
+        if cfg.kind == "bpr":
+            return [(False, full, 0.0, 0.0, w.lambda_theta)] * cfg.epochs
+        if cfg.kind in _BASELINE_KINDS:
+            l2 = w.gamma_or_default()
+            return [(False, full, 0.0, w.beta, l2)] * cfg.epochs
+        pretrain = (False, full, 0.0, 0.0, w.lambda_theta)
+        rounds = (
+            True, cfg.theta_batches_per_round, w.alpha, w.beta, w.lambda_theta
+        )
+        return [pretrain] * cfg.pretrain_epochs + [rounds] * cfg.epochs
+
+    def run(self):
+        plan = self._epoch_plan()
+        for epoch, (sweep, n_batches, alpha, beta, l2) in enumerate(plan, 1):
+            t0 = time.perf_counter()
+            sweep_ll = self._psi_sweep() if sweep else float("nan")
+            pair, kl = self._theta_batches(n_batches, alpha, beta, l2)
+            self._finish_epoch(
+                epoch, pair, sweep_ll, kl, time.perf_counter() - t0
             )
+        best_f1, params, psi = self.best or (
+            float("nan"), self.params, self.psi
+        )
         return TrainResult(
-            self.params,
-            self.params,
-            self.psi,
-            self.log,
-            self.adv_samples_per_sweep,
+            params, self.params, psi, self.log, self.adv_samples_per_sweep,
+            best_f1,
         )
 
 
@@ -606,35 +577,9 @@ def _batch_kl(scores, users):
     return value, g
 
 
-def train_bpr(config, dataset):
-    """Plain pairwise ranking; see the module docstring for the loop."""
-    if config.kind != "bpr":
-        raise ConfigError("train.model: train_bpr expects kind 'bpr'")
-    return _Trainer(config, dataset).run()
-
-
-def train_dpr(config, dataset, catalog):
-    """Adversarial minimax training (kinds dpr-rsp and dpr-reo)."""
-    if config.kind not in _DPR_KINDS:
-        raise ConfigError(
-            "train.model: train_dpr expects kind 'dpr-rsp' or 'dpr-reo'"
-        )
-    return _Trainer(config, dataset, catalog).run()
-
-
-def train_baseline(config, dataset, catalog):
-    """Penalty-based baselines (kinds fatr, reg-rsp, reg-reo)."""
-    if config.kind not in _BASELINE_KINDS:
-        raise ConfigError(
-            "train.model: train_baseline expects a baseline kind"
-        )
-    return _Trainer(config, dataset, catalog).run()
-
-
 def train(config, dataset, catalog=None):
-    """Dispatch on config.kind."""
-    if config.kind == "bpr":
-        return train_bpr(config, dataset)
-    if config.kind in _DPR_KINDS:
-        return train_dpr(config, dataset, catalog)
-    return train_baseline(config, dataset, catalog)
+    """Train the model config.kind names; see the module docstring.
+
+    catalog (item group labels) is required for every kind but "bpr".
+    """
+    return _Trainer(config, dataset, catalog).run()

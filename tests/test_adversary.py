@@ -3,9 +3,6 @@ import pytest
 
 from fairrank.adversary import (
     AdversaryParams,
-    adv_backward,
-    adv_forward,
-    adv_loss,
     forward_scores,
     init_adversary,
     loglik_and_grads,
@@ -32,7 +29,7 @@ def test_init_shapes_and_glorot_bounds():
 def test_init_zero_hidden_layers():
     psi = init_adversary(2, hidden_layers=0, seed=0)
     assert [w.shape for w in psi.weights] == [(1, 2)]
-    probs = adv_forward(psi, 1.5)
+    probs = forward_scores(psi, np.array([1.5]))[0]
     z = 1.5 * psi.weights[0][0] + psi.biases[0]
     assert np.allclose(probs, _sigmoid(z))
 
@@ -56,7 +53,7 @@ def test_forward_hand_computed():
     h1 = max(0.0, 1.0 * x + 0.1)  # 0.8
     h2 = max(0.0, -2.0 * x + 0.2)  # relu(-1.2) = 0
     z = 0.5 * h1 + 1.0 * h2 - 0.3  # 0.1
-    assert np.isclose(adv_forward(psi, x)[0], _sigmoid(0.1))
+    assert np.isclose(forward_scores(psi, np.array([x]))[0, 0], _sigmoid(0.1))
     assert np.isclose(h1, 0.8) and h2 == 0.0 and np.isclose(z, 0.1)
 
 
@@ -69,14 +66,19 @@ def test_zero_weights_give_half_probs():
 
 
 def test_adv_loss_hand_values():
-    probs = np.array([[0.5, 0.5]])
+    # no hidden layer: the output logits are the biases when the weights
+    # are zero
+    psi = AdversaryParams([np.zeros((1, 2))], [np.zeros(2)])
     labels = np.array([[1.0, 0.0]])
-    # log(0.5) + log(0.5)
-    assert np.isclose(adv_loss(probs, labels), 2 * np.log(0.5))
+    # probabilities 0.5 each: log(0.5) + log(0.5)
+    ll = loglik_and_grads(psi, np.array([0.3]), labels)[0]
+    assert np.isclose(ll[0], 2 * np.log(0.5))
     # clamp keeps exact zeros and ones finite
-    hard = np.array([[0.0, 1.0]])
-    assert np.isfinite(adv_loss(hard, labels))
-    assert adv_loss(hard, labels) < -20
+    psi.biases[0][:] = [-1e3, 1e3]
+    assert np.array_equal(forward_scores(psi, np.array([0.3])), [[0.0, 1.0]])
+    ll = loglik_and_grads(psi, np.array([0.3]), labels)[0]
+    assert np.isfinite(ll[0])
+    assert ll[0] < -20
 
 
 def _fd_check(psi, scores, labels, h=1e-6):
@@ -121,17 +123,24 @@ def test_gradients_match_finite_differences(layers):
 
 
 def test_scalar_backward_matches_batch():
+    # a batch gives each sample's own score gradient and log-likelihood,
+    # and parameter gradients of the batch sum
     rng = np.random.default_rng(3)
     psi = init_adversary(3, hidden_layers=2, hidden_width=5, seed=1)
-    score = 0.8
-    labels = np.array([1.0, 0.0, 1.0])
-    grads, d_score = adv_backward(psi, score, labels)
-    _, grads_b, d_score_b = loglik_and_grads(
-        psi, np.array([score]), labels[None, :]
-    )
-    assert np.isclose(d_score, d_score_b[0])
-    for name in grads:
-        assert np.allclose(grads[name], grads_b[name])
+    scores = rng.normal(size=4)
+    labels = (rng.random((4, 3)) < 0.5).astype(float)
+    ll_b, grads_b, d_score_b = loglik_and_grads(psi, scores, labels)
+    summed = {name: np.zeros_like(g) for name, g in grads_b.items()}
+    for n in range(4):
+        ll, grads, d_score = loglik_and_grads(
+            psi, scores[n : n + 1], labels[n : n + 1]
+        )
+        assert np.isclose(ll[0], ll_b[n])
+        assert np.isclose(d_score[0], d_score_b[n])
+        for name in grads:
+            summed[name] += grads[name]
+    for name in grads_b:
+        assert np.allclose(summed[name], grads_b[name])
 
 
 def test_gradient_ascent_increases_loglik():

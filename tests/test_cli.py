@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +160,42 @@ def test_audit_with_checkpoint(corpus_dir, tmp_path, capsys):
     assert "exposure relative spread: " in out
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_audit_rejects_k_below_one(k, capsys):
+    assert main(["audit", "--interactions", SMALL_INTER,
+                 "--groups", SMALL_GROUPS, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k must be >= 1" in captured.err
+
+
+def _rename_array(data):
+    head, body = data.split(b"\n", 1)
+    return head.replace(b'"item_factors"', b'"item_factorz"') + b"\n" + body
+
+
+@pytest.mark.parametrize(
+    "corrupt,fragment",
+    [
+        (_rename_array, "lacks item_factors"),
+        (lambda data: data + bytes(8), "unexpected bytes after the last"),
+    ],
+    ids=["missing-array", "trailing-bytes"],
+)
+def test_eval_malformed_checkpoint_is_domain_error(
+    corrupt, fragment, corpus_dir, tmp_path, capsys
+):
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
+    assert main(["train", "--config", ini]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    data = open(os.path.join(run_dir, "checkpoint"), "rb").read()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(data))
+    assert main(["eval", "--config", ini, "--checkpoint", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_sweep_table(corpus_dir, tmp_path, capsys):
     # alpha left unset on purpose: the sweep fills it in per value
     ini = _exp_ini(tmp_path / "sweep.ini", corpus_dir, model="dpr-rsp",
@@ -185,6 +223,20 @@ def test_usage_errors_exit_2(corpus_dir, tmp_path, capsys):
     assert main(["train", "--config", ini, "--frobnicate"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
+
+
+def test_module_entry_point_prints_usage():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairrank.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: fairrank")
 
 
 def test_missing_config_file_is_domain_error(tmp_path, capsys):

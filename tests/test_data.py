@@ -6,10 +6,10 @@ from fairrank.data import (
     generate_synthetic,
     load_groups,
     load_interactions,
-    sample_negatives,
     split,
 )
 from fairrank.errors import ConfigError, DataError
+from fairrank.trainer import TrainConfig, _sample_neg_matrix
 
 from conftest import DATA_DIR, make_synth
 
@@ -182,21 +182,23 @@ def test_membership_helpers(small_raw):
 def test_sample_negatives(small_raw):
     ds = split(small_raw, seed=0)
     rng = np.random.default_rng(0)
-    for u in range(ds.num_users):
-        negs = sample_negatives(ds, u, 50, rng)
-        assert len(negs) == 50
-        assert not ds.in_train(np.full(50, u), negs).any()
-        assert ((negs >= 0) & (negs < ds.num_items)).all()
-    with pytest.raises(ConfigError):
-        sample_negatives(ds, 0, 0, rng)
+    users = np.repeat(np.arange(ds.num_users), 2)
+    negs = _sample_neg_matrix(ds, users, 50, rng)
+    assert negs.shape == (len(users), 50)
+    assert not ds.in_train(np.repeat(users, 50), negs.ravel()).any()
+    assert ((negs >= 0) & (negs < ds.num_items)).all()
+    # the sampler draws negative_rate per positive; zero is rejected up front
+    with pytest.raises(ConfigError, match="negative_rate"):
+        TrainConfig(negative_rate=0).validate()
 
 
 def test_sample_negatives_exhausted():
     from fairrank.data import InteractionDataset
 
-    ds = InteractionDataset(1, 3, [np.arange(3)], [[]], [[]])
-    with pytest.raises(DataError, match="no candidate negative"):
-        sample_negatives(ds, 0, 1, np.random.default_rng(1))
+    ds = InteractionDataset(2, 3, [np.arange(3), np.array([1])], [[]] * 2,
+                            [[]] * 2)
+    with pytest.raises(DataError, match="user 0 has no candidate negative"):
+        _sample_neg_matrix(ds, np.array([1, 0]), 1, np.random.default_rng(1))
 
 
 def test_synthetic_shapes_and_blocks():

@@ -1,24 +1,26 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from fairrank.adversary import init_adversary
 from fairrank.errors import ConfigError, DataError
+from fairrank.evaluation import _score_matrix
 from fairrank.mf import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    INIT_STD,
     AdamState,
-    FatrParams,
+    MfParams,
     adam_step,
-    init_fatr_params,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score,
-    score_all,
 )
+
+from conftest import DATA_DIR
 
 
 def test_init_shapes_and_distribution():
@@ -44,31 +46,33 @@ def test_init_deterministic():
 
 def test_init_fatr():
     memb = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
-    p = init_fatr_params(5, 3, 6, memb, seed=0)
-    assert p.item_free.shape == (4, 3)
-    assert p.item_sensitive.shape == (2, 3)
-    assert np.array_equal(p.item_sensitive, memb.T.astype(float))
-    # item_matrix stacks free on top of the indicator block
-    im = p.item_matrix()
-    assert im.shape == (3, 6)
-    assert np.array_equal(im[:, 4:], memb.astype(float))
+    p = init_params(5, 3, 6, seed=0, frozen=memb)
+    assert p.user_factors.shape == (5, 6)
+    assert p.item_factors.shape == (3, 6)
+    # the indicator block fills the last columns of the item matrix
+    assert np.array_equal(p.item_factors[:, 4:], memb.astype(float))
+    # the trained columns come from a (dim - A, M) draw after the users
+    rng = np.random.default_rng(0)
+    users = rng.normal(0.0, INIT_STD, size=(5, 6))
+    free = rng.normal(0.0, INIT_STD, size=(4, 3))
+    assert np.array_equal(p.user_factors, users)
+    assert np.array_equal(p.item_factors[:, :4], free.T)
     with pytest.raises(ConfigError, match="num_groups < dim"):
-        init_fatr_params(5, 3, 2, memb, seed=0)
+        init_params(5, 3, 2, seed=0, frozen=memb)
 
 
 def test_score_matches_matmul():
-    p = init_params(6, 5, 3, seed=1)
-    full = p.user_factors @ p.item_factors.T
-    for u in range(6):
-        assert np.allclose(score_all(p, u), full[u])
-        for i in range(5):
-            assert np.isclose(score(p, u, i), full[u, i])
-    with pytest.raises(IndexError):
-        score(p, -1, 0)
-    with pytest.raises(IndexError):
-        score(p, 0, 5)
-    with pytest.raises(IndexError):
-        score_all(p, 6)
+    memb = np.array([[1, 0], [0, 1], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+    for p in (
+        init_params(6, 5, 3, seed=1),
+        init_params(6, 5, 4, seed=1, frozen=memb),
+    ):
+        full = _score_matrix(p)
+        assert full.shape == (6, 5)
+        for u in range(6):
+            for i in range(5):
+                want = float(np.dot(p.user_factors[u], p.item_factors[i]))
+                assert np.isclose(full[u, i], want, rtol=1e-12, atol=0)
 
 
 def test_adam_first_step_closed_form():
@@ -158,14 +162,16 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_round_trip_fatr_and_adversary(tmp_path):
     memb = np.array([[1, 0], [0, 1], [0, 1]], dtype=np.uint8)
-    p = init_fatr_params(4, 3, 5, memb, seed=0)
+    p = init_params(4, 3, 5, seed=0, frozen=memb)
     psi = init_adversary(2, hidden_layers=2, hidden_width=6, seed=1)
     path = tmp_path / "ck"
     save_checkpoint(str(path), p, adversary=psi)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["kind"] == "mf"
     loaded, psi2, _ = load_checkpoint(str(path))
-    assert isinstance(loaded, FatrParams)
-    assert np.array_equal(loaded.item_free, p.item_free)
-    assert np.array_equal(loaded.item_sensitive, p.item_sensitive)
+    assert isinstance(loaded, MfParams)
+    assert np.array_equal(loaded.user_factors, p.user_factors)
+    assert np.array_equal(loaded.item_factors, p.item_factors)
     assert psi2.num_groups == 2
     for a, b in zip(psi.weights, psi2.weights):
         assert np.array_equal(a, b)
@@ -187,6 +193,15 @@ def test_checkpoint_errors(tmp_path):
     garbage.write_bytes(b"not json at all\n\x00\x01")
     with pytest.raises(DataError, match="not a checkpoint"):
         load_checkpoint(str(garbage))
+    garbage.write_bytes(b"[1]\n")
+    with pytest.raises(DataError, match="not a checkpoint"):
+        load_checkpoint(str(garbage))
+    garbage.write_bytes(
+        b'{"magic": "fairrank-checkpoint", "version": 1,'
+        b' "arrays": [{"name": "user_factors"}]}\n'
+    )
+    with pytest.raises(DataError, match="malformed checkpoint header"):
+        load_checkpoint(str(garbage))
 
     p = init_params(3, 3, 2, seed=0)
     path = tmp_path / "ck"
@@ -206,3 +221,44 @@ def test_checkpoint_errors(tmp_path):
     )
     with pytest.raises(DataError, match="version"):
         load_checkpoint(str(bumped))
+
+
+def _raw_arrays(path):
+    """Arrays of a checkpoint file, parsed without the package's loader."""
+    data = open(path, "rb").read()
+    head, body = data.split(b"\n", 1)
+    out = {}
+    offset = 0
+    for meta in json.loads(head)["arrays"]:
+        n = int(np.prod(meta["shape"]))
+        out[meta["name"]] = np.frombuffer(
+            body[offset : offset + 8 * n], dtype="<f8"
+        ).reshape(meta["shape"])
+        offset += 8 * n
+    assert offset == len(body)
+    return out
+
+
+def test_load_v1_fatr_checkpoint():
+    # written by the FATR code before its item factors became ordinary
+    # item-matrix columns: 4 users x 3 items, dim 5, groups [[1,0],[0,1],
+    # [0,1]], seed 0, plus init_adversary(2, 1, 3, seed=1)
+    path = os.path.join(DATA_DIR, "fatr_v1.ckpt")
+    raw = _raw_arrays(path)
+    params, psi, config_hash = load_checkpoint(path)
+    assert isinstance(params, MfParams)
+    assert config_hash == "fatr-v1"
+    assert np.array_equal(params.user_factors, raw["user_factors"])
+    assert np.array_equal(
+        params.item_factors,
+        np.hstack([raw["item_free"].T, raw["item_sensitive"].T]),
+    )
+    # the same factors a fresh init draws for that seed
+    memb = np.array([[1, 0], [0, 1], [0, 1]], dtype=np.uint8)
+    fresh = init_params(4, 3, 5, seed=0, frozen=memb)
+    assert np.array_equal(params.user_factors, fresh.user_factors)
+    assert np.array_equal(params.item_factors, fresh.item_factors)
+    ref = init_adversary(2, hidden_layers=1, hidden_width=3, seed=1)
+    for a, b in zip(psi.weights + psi.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
+    assert len(psi.weights) == len(ref.weights) == 2

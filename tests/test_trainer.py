@@ -14,8 +14,6 @@ from fairrank.trainer import (
     _BatchStream,
     _Trainer,
     train,
-    train_bpr,
-    train_dpr,
 )
 
 from conftest import make_synth
@@ -101,12 +99,11 @@ def test_validate_group_constraints():
 
 def test_kind_dispatch_guards(synth_dataset):
     ds, cat = synth_dataset
-    with pytest.raises(ConfigError, match="expects kind 'bpr'"):
-        train_bpr(_small_cfg("dpr-rsp"), ds)
-    with pytest.raises(ConfigError, match="train_dpr"):
-        train_dpr(_small_cfg("bpr"), ds, cat)
-    with pytest.raises(ConfigError, match="requires group labels"):
-        train(_small_cfg("dpr-rsp"), ds, None)
+    with pytest.raises(ConfigError, match="unknown kind 'nope'"):
+        train(_small_cfg("nope"), ds, cat)
+    for kind in ("dpr-rsp", "dpr-reo", "fatr", "reg-rsp", "reg-reo"):
+        with pytest.raises(ConfigError, match="requires group labels"):
+            train(_small_cfg(kind), ds, None)
 
 
 # ---- batch stream ---------------------------------------------------
@@ -147,7 +144,7 @@ def test_forced_optimum_single_pair():
         seed=0,
         weights=_weights(lambda_theta=1e-4),
     )
-    res = train_bpr(cfg, ds)
+    res = train(cfg, ds)
     p = res.params
     s_pos = float(p.user_factors[0] @ p.item_factors[0])
     s_neg = float(p.user_factors[0] @ p.item_factors[1])
@@ -169,7 +166,7 @@ def test_training_deterministic(synth_dataset):
 
 def test_bpr_loss_decreases(synth_dataset):
     ds, _ = synth_dataset
-    res = train_bpr(_small_cfg(epochs=12), ds)
+    res = train(_small_cfg(epochs=12), ds)
     losses = [r.loss_bpr for r in res.log.records]
     assert losses[-1] < losses[0] - 0.005
 
@@ -186,7 +183,7 @@ def test_bpr_beats_untrained_ranking():
     p0 = init_params(ds.num_users, ds.num_items, 20, np.random.default_rng(1))
     f_init = f1_at_k(rank_topk(p0, ds, 15, exclude="train"), ds, split="val")
     cfg = _small_cfg(epochs=30, dim=20, batch_size=1024, eval_every=0, seed=1)
-    pt = train_bpr(cfg, ds).final_params
+    pt = train(cfg, ds).final_params
     f_tr = f1_at_k(rank_topk(pt, ds, 15, exclude="train"), ds, split="val")
     assert f_tr > 1.15 * f_init
 
@@ -196,8 +193,8 @@ def test_dpr_with_zero_weights_reduces_to_bpr(synth_dataset, total):
     # alpha = beta = 0 and aligned batch counts: bit-identical factors
     ds, cat = synth_dataset
     bpe = -(-ds.num_train_pairs // 256)
-    plain = train_bpr(_small_cfg(epochs=total), ds)
-    mm = train_dpr(
+    plain = train(_small_cfg(epochs=total), ds)
+    mm = train(
         _small_cfg(
             "dpr-rsp",
             epochs=total - 1,
@@ -220,8 +217,8 @@ def test_dpr_with_zero_weights_reduces_to_bpr(synth_dataset, total):
 
 def test_pretrain_only_equals_bpr(synth_dataset):
     ds, cat = synth_dataset
-    plain = train_bpr(_small_cfg(epochs=2), ds)
-    mm = train_dpr(
+    plain = train(_small_cfg(epochs=2), ds)
+    mm = train(
         _small_cfg("dpr-rsp", epochs=0, pretrain_epochs=2), ds, cat
     )
     assert np.array_equal(plain.params.user_factors, mm.params.user_factors)
@@ -231,10 +228,10 @@ def test_pretrain_only_equals_bpr(synth_dataset):
 def test_sweep_sample_counts(synth_dataset):
     # rsp visits each positive and one sampled negative; reo positives only
     ds, cat = synth_dataset
-    rsp = train_dpr(
+    rsp = train(
         _small_cfg("dpr-rsp", epochs=1, pretrain_epochs=0), ds, cat
     )
-    reo = train_dpr(
+    reo = train(
         _small_cfg(
             "dpr-reo",
             epochs=1,
@@ -294,6 +291,58 @@ def test_minimax_directions(synth_dataset):
     assert ll_after > ll_before
 
 
+def _one_theta_step(kind, ds, cat):
+    """A fresh trainer after one theta batch of 8 positives x 2 negatives,
+    the parameters before it, and the batch."""
+    cfg = _small_cfg(kind, batch_size=8, negative_rate=2)
+    tr = _Trainer(cfg, ds, cat)
+    before = tr.params.copy()
+    batch = tr.stream.next_batch()
+    w = cfg.weights
+    tr._theta_update(batch, 0.0, 0.0, w.lambda_theta)
+    return tr, before, batch
+
+
+def _batch_masks(ds, users, items, negs):
+    in_u = np.zeros(ds.num_users, dtype=bool)
+    in_u[users] = True
+    in_i = np.zeros(ds.num_items, dtype=bool)
+    in_i[items] = True
+    in_i[negs.ravel()] = True
+    return in_u, in_i
+
+
+def test_theta_step_touches_only_batch_rows(synth_dataset):
+    ds, cat = synth_dataset
+    tr, before, batch = _one_theta_step("bpr", ds, cat)
+    in_u, in_i = _batch_masks(ds, *batch)
+    assert 0 < in_u.sum() < ds.num_users and 0 < in_i.sum() < ds.num_items
+    p = tr.params
+    assert np.array_equal(p.user_factors[~in_u], before.user_factors[~in_u])
+    assert np.array_equal(p.item_factors[~in_i], before.item_factors[~in_i])
+    assert (p.user_factors != before.user_factors).any(axis=1)[in_u].all()
+    assert (p.item_factors != before.item_factors).any(axis=1)[in_i].all()
+    # lazy Adam stamps exactly the rows it moved
+    assert np.array_equal(tr.adam_theta.last["user_factors"], in_u)
+    assert np.array_equal(tr.adam_theta.last["item_factors"], in_i)
+
+
+def test_fatr_theta_step_keeps_indicator_columns(synth_dataset):
+    ds, cat = synth_dataset
+    tr, before, batch = _one_theta_step("fatr", ds, cat)
+    in_u, _ = _batch_masks(ds, *batch)
+    a = cat.num_groups
+    q, q0 = tr.params.item_factors, before.item_factors
+    assert np.array_equal(q[:, -a:], q0[:, -a:])
+    # the cross-Gram penalty reaches every item's trained columns
+    assert (q[:, :-a] != q0[:, :-a]).any(axis=1).all()
+    assert np.array_equal(
+        tr.params.user_factors[~in_u], before.user_factors[~in_u]
+    )
+    assert np.array_equal(tr.adam_theta.last["user_factors"], in_u)
+    assert (tr.adam_theta.last["item_factors"] == 1).all()
+
+
 def test_fatr_keeps_indicator_block_frozen(synth_dataset):
     ds, cat = synth_dataset
     cfg = _small_cfg(
@@ -301,8 +350,8 @@ def test_fatr_keeps_indicator_block_frozen(synth_dataset):
     )
     res = train(cfg, ds, cat)
     assert np.array_equal(
-        res.final_params.item_sensitive,
-        cat.memberships.T.astype(np.float64),
+        res.final_params.item_factors[:, -cat.num_groups :],
+        cat.memberships.astype(np.float64),
     )
 
 
@@ -315,10 +364,9 @@ def test_fatr_penalty_shrinks_cross_gram(synth_dataset):
             epochs=8,
             weights=_weights(beta=0.0, lambda_model=lambda_model),
         )
-        p = train(cfg, ds, cat).final_params
-        return float(
-            np.linalg.norm(p.item_sensitive @ p.item_free.T)
-        )
+        q = train(cfg, ds, cat).final_params.item_factors
+        a = cat.num_groups
+        return float(np.linalg.norm(q[:, -a:].T @ q[:, :-a]))
 
     assert cross_norm(200.0) < 0.5 * cross_norm(0.0)
 
@@ -349,7 +397,7 @@ def test_divergence_guard(synth_dataset):
     cfg = _small_cfg(epochs=3, lr_bpr=1e200)
     with pytest.raises(TrainingDiverged, match="not finite"):
         with np.errstate(all="ignore"):
-            train_bpr(cfg, ds)
+            train(cfg, ds)
 
 
 def test_adversary_collapse_warning(synth_dataset, caplog):
@@ -373,7 +421,7 @@ def test_adversary_collapse_warning(synth_dataset, caplog):
 def test_validation_snapshot_is_best(synth_dataset):
     ds, _ = synth_dataset
     cfg = _small_cfg(epochs=6, eval_every=2)
-    res = train_bpr(cfg, ds)
+    res = train(cfg, ds)
     vals = [r.val_f1_15 for r in res.log.records if not np.isnan(r.val_f1_15)]
     assert len(vals) == 3
     assert res.best_val_f1 == max(vals)
