@@ -58,11 +58,7 @@ def init_adversary(num_groups, hidden_layers=4, hidden_width=50, seed=0):
     if hidden_layers > 0 and hidden_width < 1:
         raise ConfigError("hidden_width: must be >= 1")
     sizes = [1] + [hidden_width] * hidden_layers + [num_groups]
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(seed)
-    )
+    rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))

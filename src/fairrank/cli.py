@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import load_config
 from .data import (
-    InteractionDataset,
     generate_synthetic,
     load_groups,
     load_interactions,
@@ -128,24 +127,6 @@ def cmd_eval(args):
     return 0
 
 
-def _all_train_dataset(raw):
-    """Treat every interaction as history; val and test stay empty."""
-    n, m = raw.num_users, raw.num_items
-    per_user = [[] for _ in range(n)]
-    for u, i in raw.pairs:
-        per_user[int(u)].append(int(i))
-    empty = [[] for _ in range(n)]
-    return InteractionDataset(
-        n,
-        m,
-        per_user,
-        empty,
-        [[] for _ in range(n)],
-        raw.user_index,
-        raw.item_index,
-    )
-
-
 def cmd_audit(args):
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
@@ -158,7 +139,8 @@ def cmd_audit(args):
     print(f"feedback ratio relative spread: {spread:.6g}")
     if args.checkpoint is not None:
         params, _, _ = load_checkpoint(args.checkpoint)
-        dataset = _all_train_dataset(raw)
+        # every interaction is history; val and test stay empty
+        dataset = split(raw, (1.0, 0.0, 0.0))
         _check_dims(params, dataset)
         ranking = rank_topk(params, dataset, args.k, exclude="train")
         probs = prob_rsp(ranking, dataset, catalog)

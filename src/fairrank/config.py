@@ -9,48 +9,128 @@ change, seed included, gets a fresh one.
 import configparser
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .evaluation import EXCLUDE_TRAIN, EXCLUDE_TRAIN_VAL
-from .objectives import ObjectiveWeights
 from .trainer import TrainConfig
 
-_SECTIONS = ("data", "train", "eval", "synthetic", "output")
 
-_DATA_KEYS = {"interactions", "groups", "train_ratio", "val_ratio", "test_ratio"}
-_TRAIN_KEYS = {
-    "model",
-    "dim",
-    "lr_bpr",
-    "lr_adv",
-    "lambda_theta",
-    "alpha",
-    "beta",
-    "lambda_model",
-    "gamma",
-    "negative_rate",
-    "batch_size",
-    "epochs",
-    "pretrain_epochs",
-    "adv_layers",
-    "adv_hidden",
-    "theta_batches_per_round",
-    "eval_every",
-    "seed",
+def _convert(fn, what):
+    def parse(raw):
+        try:
+            return fn(raw)
+        except ValueError:
+            raise ValueError(f"expected {what}, got '{raw}'") from None
+    return parse
+
+
+def _list(parse):
+    """Comma-separated values; a bad element is reported by itself."""
+    return lambda raw: tuple(
+        parse(part.strip()) for part in raw.split(",") if part.strip()
+    )
+
+
+_int = _convert(int, "an integer")
+_float = _convert(float, "a number")
+
+
+def _ks(raw):
+    ks = _list(_int)(raw)
+    if not ks or min(ks) < 1:
+        raise ValueError("need positive integers")
+    return ks
+
+
+def _exclude(raw):
+    if raw not in (EXCLUDE_TRAIN, EXCLUDE_TRAIN_VAL):
+        raise ValueError(
+            f"must be '{EXCLUDE_TRAIN}' or '{EXCLUDE_TRAIN_VAL}', got '{raw}'"
+        )
+    return raw
+
+
+def _user_pairs(raw):
+    pairs = _int(raw)
+    if pairs < 1:
+        raise ValueError("must be >= 1")
+    return pairs
+
+
+# section -> INI key -> (ExperimentConfig attribute path, parser), in the
+# order config.resolved prints them.  A numeric path step indexes a tuple.
+# Parsers raise ValueError with the text that follows "config [s] key: ".
+_SCHEMA = {
+    "data": {
+        "interactions": ("interactions", str),
+        "groups": ("groups", str),
+        "test_ratio": ("ratios.2", _float),
+        "train_ratio": ("ratios.0", _float),
+        "val_ratio": ("ratios.1", _float),
+    },
+    "train": {
+        "adv_hidden": ("train.adv_hidden", _int),
+        "adv_layers": ("train.adv_layers", _int),
+        "alpha": ("train.weights.alpha", _float),
+        "batch_size": ("train.batch_size", _int),
+        "beta": ("train.weights.beta", _float),
+        "dim": ("train.dim", _int),
+        "epochs": ("train.epochs", _int),
+        "eval_every": ("train.eval_every", _int),
+        "gamma": ("train.weights.gamma", _float),
+        "lambda_model": ("train.weights.lambda_model", _float),
+        "lambda_theta": ("train.weights.lambda_theta", _float),
+        "lr_adv": ("train.lr_adv", _float),
+        "lr_bpr": ("train.lr_bpr", _float),
+        "model": ("train.kind", str),
+        "negative_rate": ("train.negative_rate", _int),
+        "pretrain_epochs": ("train.pretrain_epochs", _int),
+        "seed": ("train.seed", _int),
+        "theta_batches_per_round": ("train.theta_batches_per_round", _int),
+    },
+    "eval": {
+        "exclude": ("eval_exclude", _exclude),
+        "js_user_pairs": ("js_user_pairs", _user_pairs),
+        "ks": ("eval_ks", _ks),
+    },
+    "synthetic": {
+        "group_item_shares": ("synthetic.group_item_shares", _list(_float)),
+        "group_popularity": ("synthetic.group_popularity", _list(_float)),
+        "interactions_per_user": ("synthetic.interactions_per_user", _int),
+        "num_groups": ("synthetic.num_groups", _int),
+        "num_items": ("synthetic.num_items", _int),
+        "num_users": ("synthetic.num_users", _int),
+        "seed": ("synthetic.seed", _int),
+    },
+    # locates the run without shaping it, so config.resolved leaves it out
+    "output": {"dir": ("output_dir", str)},
 }
-_EVAL_KEYS = {"ks", "exclude", "js_user_pairs"}
-_SYNTH_KEYS = {
-    "num_users",
-    "num_items",
-    "num_groups",
-    "group_item_shares",
-    "group_popularity",
-    "interactions_per_user",
-    "seed",
-}
-_OUTPUT_KEYS = {"dir"}
+_REQUIRED = {f.name for f in fields(SyntheticSpec) if f.default is MISSING}
+
+
+def _get(obj, path):
+    for name in path.split("."):
+        if obj is not None:
+            obj = obj[int(name)] if name.isdigit() else getattr(obj, name)
+    return obj
+
+
+def _assign(obj, path, value):
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _assign(getattr(obj, name), rest, value)
+    if name.isdigit():
+        return obj[: int(name)] + (value,) + obj[int(name) + 1 :]
+    setattr(obj, name, value)
+    return obj
+
+
+def _text(value):
+    if isinstance(value, (tuple, list)):
+        return ",".join(_text(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -72,93 +152,20 @@ class ExperimentConfig:
         but does not influence it, and the run-directory name is the hash
         of this text.
         """
-        out = ["[data]"]
-        if self.interactions is not None:
-            out.append(f"interactions = {self.interactions}")
-        if self.groups is not None:
-            out.append(f"groups = {self.groups}")
-        out.append(f"test_ratio = {self.ratios[2]!r}")
-        out.append(f"train_ratio = {self.ratios[0]!r}")
-        out.append(f"val_ratio = {self.ratios[1]!r}")
-        t = self.train
-        w = t.weights
-        out.append("")
-        out.append("[train]")
-        pairs = [
-            ("adv_hidden", t.adv_hidden),
-            ("adv_layers", t.adv_layers),
-            ("batch_size", t.batch_size),
-            ("dim", t.dim),
-            ("epochs", t.epochs),
-            ("eval_every", t.eval_every),
-            ("lambda_theta", repr(w.lambda_theta)),
-            ("lr_adv", repr(t.lr_adv)),
-            ("lr_bpr", repr(t.lr_bpr)),
-            ("model", t.kind),
-            ("negative_rate", t.negative_rate),
-            ("pretrain_epochs", t.pretrain_epochs),
-            ("seed", t.seed),
-            ("theta_batches_per_round", t.theta_batches_per_round),
-        ]
-        for name in ("alpha", "beta", "gamma", "lambda_model"):
-            v = getattr(w, name)
-            if v is not None:
-                pairs.append((name, repr(v)))
-        for k, v in sorted(pairs):
-            out.append(f"{k} = {v}")
-        out.append("")
-        out.append("[eval]")
-        out.append(f"exclude = {self.eval_exclude}")
-        out.append(f"js_user_pairs = {self.js_user_pairs}")
-        out.append(f"ks = {','.join(str(k) for k in self.eval_ks)}")
-        if self.synthetic is not None:
-            s = self.synthetic
-            out.append("")
-            out.append("[synthetic]")
-            shares = ",".join(repr(x) for x in s.group_item_shares)
-            pops = ",".join(repr(x) for x in s.group_popularity)
-            out.append(f"group_item_shares = {shares}")
-            out.append(f"group_popularity = {pops}")
-            out.append(f"interactions_per_user = {s.interactions_per_user}")
-            out.append(f"num_groups = {s.num_groups}")
-            out.append(f"num_items = {s.num_items}")
-            out.append(f"num_users = {s.num_users}")
-            out.append(f"seed = {s.seed}")
-        return "\n".join(out) + "\n"
+        blocks = []
+        for section, keys in _SCHEMA.items():
+            lines = [f"[{section}]"] + [
+                f"{key} = {_text(value)}"
+                for key, (path, _) in keys.items()
+                if (value := _get(self, path)) is not None
+            ]
+            if len(lines) > 1 and section != "output":
+                blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
 
     def config_hash(self):
         text = self.resolved_text().encode("utf-8")
         return hashlib.sha256(text).hexdigest()[:12]
-
-
-def _convert(section, key, raw, fn, what):
-    try:
-        return fn(raw)
-    except (ValueError, TypeError):
-        raise ConfigError(
-            f"config [{section}] {key}: expected {what}, got '{raw}'"
-        )
-
-
-def _int(section, items, key, default=None):
-    if key not in items:
-        return default
-    return _convert(section, key, items[key], int, "an integer")
-
-
-def _float(section, items, key, default=None):
-    if key not in items:
-        return default
-    return _convert(section, key, items[key], float, "a number")
-
-
-def _float_list(section, items, key):
-    raw = items[key]
-    return tuple(
-        _convert(section, key, part.strip(), float, "a number")
-        for part in raw.split(",")
-        if part.strip()
-    )
 
 
 def load_config(path, validate_train=True):
@@ -176,123 +183,33 @@ def load_config(path, validate_train=True):
     except configparser.Error as exc:
         raise ConfigError(f"config: not valid INI: {exc}")
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"config: unknown section [{section}]")
-    known = {
-        "data": _DATA_KEYS,
-        "train": _TRAIN_KEYS,
-        "eval": _EVAL_KEYS,
-        "synthetic": _SYNTH_KEYS,
-        "output": _OUTPUT_KEYS,
-    }
     for section in parser.sections():
         for key in parser[section]:
-            if key not in known[section]:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(
                     f"config: unknown key '{key}' in section [{section}]"
                 )
     cfg = ExperimentConfig()
-
-    if parser.has_section("data"):
-        d = dict(parser["data"])
-        cfg.interactions = d.get("interactions")
-        cfg.groups = d.get("groups")
-        cfg.ratios = (
-            _float("data", d, "train_ratio", 0.6),
-            _float("data", d, "val_ratio", 0.2),
-            _float("data", d, "test_ratio", 0.2),
-        )
-
-    if parser.has_section("train"):
-        t = dict(parser["train"])
-        defaults = TrainConfig()
-        weights = ObjectiveWeights(
-            lambda_theta=_float(
-                "train", t, "lambda_theta", defaults.weights.lambda_theta
-            ),
-            alpha=_float("train", t, "alpha"),
-            beta=_float("train", t, "beta"),
-            lambda_model=_float("train", t, "lambda_model"),
-            gamma=_float("train", t, "gamma"),
-        )
-        cfg.train = TrainConfig(
-            kind=t.get("model", defaults.kind),
-            dim=_int("train", t, "dim", defaults.dim),
-            lr_bpr=_float("train", t, "lr_bpr", defaults.lr_bpr),
-            lr_adv=_float("train", t, "lr_adv", defaults.lr_adv),
-            weights=weights,
-            negative_rate=_int(
-                "train", t, "negative_rate", defaults.negative_rate
-            ),
-            batch_size=_int("train", t, "batch_size", defaults.batch_size),
-            epochs=_int("train", t, "epochs", defaults.epochs),
-            pretrain_epochs=_int(
-                "train", t, "pretrain_epochs", defaults.pretrain_epochs
-            ),
-            adv_layers=_int("train", t, "adv_layers", defaults.adv_layers),
-            adv_hidden=_int("train", t, "adv_hidden", defaults.adv_hidden),
-            theta_batches_per_round=_int(
-                "train",
-                t,
-                "theta_batches_per_round",
-                defaults.theta_batches_per_round,
-            ),
-            eval_every=_int("train", t, "eval_every", defaults.eval_every),
-            seed=_int("train", t, "seed", defaults.seed),
-        )
-
-    if parser.has_section("eval"):
-        e = dict(parser["eval"])
-        if "ks" in e:
-            ks = tuple(
-                _convert("eval", "ks", part.strip(), int, "an integer")
-                for part in e["ks"].split(",")
-                if part.strip()
-            )
-            if not ks or any(k < 1 for k in ks):
-                raise ConfigError("config [eval] ks: need positive integers")
-            cfg.eval_ks = ks
-        if "exclude" in e:
-            if e["exclude"] not in (EXCLUDE_TRAIN, EXCLUDE_TRAIN_VAL):
-                raise ConfigError(
-                    f"config [eval] exclude: must be '{EXCLUDE_TRAIN}' or "
-                    f"'{EXCLUDE_TRAIN_VAL}', got '{e['exclude']}'"
-                )
-            cfg.eval_exclude = e["exclude"]
-        pairs = _int("eval", e, "js_user_pairs", cfg.js_user_pairs)
-        if pairs < 1:
-            raise ConfigError("config [eval] js_user_pairs: must be >= 1")
-        cfg.js_user_pairs = pairs
-
-    if parser.has_section("synthetic"):
-        s = dict(parser["synthetic"])
-        for req in (
-            "num_users",
-            "num_items",
-            "num_groups",
-            "group_item_shares",
-            "group_popularity",
-            "interactions_per_user",
-        ):
-            if req not in s:
-                raise ConfigError(f"config [synthetic] {req}: required")
-        cfg.synthetic = SyntheticSpec(
-            num_users=_int("synthetic", s, "num_users"),
-            num_items=_int("synthetic", s, "num_items"),
-            num_groups=_int("synthetic", s, "num_groups"),
-            group_item_shares=_float_list("synthetic", s, "group_item_shares"),
-            group_popularity=_float_list("synthetic", s, "group_popularity"),
-            interactions_per_user=_int(
-                "synthetic", s, "interactions_per_user"
-            ),
-            seed=_int("synthetic", s, "seed", 0),
-        )
+    for section, keys in _SCHEMA.items():
+        if not parser.has_section(section):
+            continue
+        items = parser[section]
+        if section == "synthetic":
+            for key, (path, _) in keys.items():
+                if key not in items and path.split(".")[-1] in _REQUIRED:
+                    raise ConfigError(f"config [synthetic] {key}: required")
+            cfg.synthetic = SyntheticSpec(**dict.fromkeys(_REQUIRED))
+        for key, (path, parse) in keys.items():
+            if key in items:
+                try:
+                    value = parse(items[key])
+                except ValueError as exc:
+                    raise ConfigError(f"config [{section}] {key}: {exc}")
+                _assign(cfg, path, value)
+    if cfg.synthetic is not None:
         cfg.synthetic.validate()
-
-    if parser.has_section("output"):
-        o = dict(parser["output"])
-        cfg.output_dir = o.get("dir", cfg.output_dir)
-
     if validate_train:
         cfg.train.validate()
     return cfg

@@ -159,6 +159,17 @@ def load_groups(path, item_index):
     return GroupCatalog(list(names), memberships)
 
 
+def _flatten(lists):
+    """Per-user item lists -> (users, items) int64 arrays, user-major."""
+    users = np.repeat(
+        np.arange(len(lists), dtype=np.int64), [len(a) for a in lists]
+    )
+    items = (
+        np.concatenate(lists) if len(lists) else np.empty(0, dtype=np.int64)
+    ).astype(np.int64)
+    return users, items
+
+
 @dataclass
 class InteractionDataset:
     """Per-user train/val/test item lists over dense indices.
@@ -181,28 +192,11 @@ class InteractionDataset:
         self.train_sizes = np.array(
             [len(a) for a in self.train_pos], dtype=np.int64
         )
-        users = np.repeat(
-            np.arange(self.num_users, dtype=np.int64), self.train_sizes
-        )
-        items = (
-            np.concatenate(self.train_pos)
-            if len(self.train_pos)
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int64)
         # enumeration order: user ascending, item ascending within user
-        self.pos_users = users
-        self.pos_items = items
-        self._train_codes = np.sort(users * m + items)
-        tu = np.repeat(
-            np.arange(self.num_users, dtype=np.int64),
-            [len(a) for a in self.test_pos],
-        )
-        ti = (
-            np.concatenate(self.test_pos)
-            if len(self.test_pos)
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int64)
-        self._test_codes = np.sort(tu * m + ti)
+        self.pos_users, self.pos_items = _flatten(self.train_pos)
+        self._train_codes = np.sort(self.pos_users * m + self.pos_items)
+        test_users, test_items = _flatten(self.test_pos)
+        self._test_codes = np.sort(test_users * m + test_items)
 
     @property
     def num_train_pairs(self):
@@ -213,10 +207,10 @@ class InteractionDataset:
             np.asarray(users, dtype=np.int64) * self.num_items
             + np.asarray(items, dtype=np.int64)
         )
-        pos = np.searchsorted(codes_sorted, q)
-        pos = np.minimum(pos, len(codes_sorted) - 1) if len(codes_sorted) else pos
         if len(codes_sorted) == 0:
             return np.zeros(q.shape, dtype=bool)
+        pos = np.searchsorted(codes_sorted, q)
+        pos = np.minimum(pos, len(codes_sorted) - 1)
         return codes_sorted[pos] == q
 
     def in_train(self, users, items):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _flatten
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -440,21 +441,12 @@ class FairnessReport:
 
 def _all_split_pairs(dataset):
     """Recombine train/val/test into one (P, 2) dense pair array."""
-    users, items = [], []
-    for split_list in (dataset.train_pos, dataset.val_pos, dataset.test_pos):
-        users.append(
-            np.repeat(
-                np.arange(dataset.num_users), [len(a) for a in split_list]
-            )
-        )
-        items.extend(split_list)
-    u = np.concatenate(users)
-    i = (
-        np.concatenate(items)
-        if items
-        else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
-    return np.stack([u, i], axis=1)
+    return np.concatenate(
+        [
+            np.stack(_flatten(lists), axis=1)
+            for lists in (dataset.train_pos, dataset.val_pos, dataset.test_pos)
+        ]
+    )
 
 
 def evaluate_model(

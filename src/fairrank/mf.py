@@ -48,12 +48,6 @@ class MfParams:
         return MfParams(self.user_factors.copy(), self.item_factors.copy())
 
 
-def _rng_of(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def init_params(num_users, num_items, dim, seed, frozen=None):
     """Normal(0, 0.01) entries; bit-identical matrices for a given seed.
 
@@ -64,7 +58,7 @@ def init_params(num_users, num_items, dim, seed, frozen=None):
     """
     if dim < 1:
         raise ConfigError("dim: must be >= 1")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     p = rng.normal(0.0, INIT_STD, size=(num_users, dim))
     if frozen is None:
         q = rng.normal(0.0, INIT_STD, size=(num_items, dim))

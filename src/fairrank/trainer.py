@@ -70,24 +70,23 @@ class TrainConfig:
     def validate(self, num_groups=None):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"train.model: unknown kind '{self.kind}'")
-        if self.dim < 1:
-            raise ConfigError("train.dim: must be >= 1")
         if self.lr_bpr <= 0 or self.lr_adv <= 0:
             raise ConfigError("train.lr_bpr/lr_adv: must be positive")
-        if self.negative_rate < 1:
-            raise ConfigError("train.negative_rate: must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("train.batch_size: must be >= 1")
-        if self.epochs < 0 or self.pretrain_epochs < 0:
-            raise ConfigError("train.epochs: must be >= 0")
-        if self.adv_layers < 0:
-            raise ConfigError("train.adv_layers: must be >= 0")
-        if self.adv_layers > 0 and self.adv_hidden < 1:
-            raise ConfigError("train.adv_hidden: must be >= 1")
-        if self.theta_batches_per_round < 1:
-            raise ConfigError("train.theta_batches_per_round: must be >= 1")
-        if self.eval_every < 0:
-            raise ConfigError("train.eval_every: must be >= 0")
+        minimums = {
+            "dim": 1,
+            "negative_rate": 1,
+            "batch_size": 1,
+            "epochs": 0,
+            "pretrain_epochs": 0,
+            "adv_layers": 0,
+            "theta_batches_per_round": 1,
+            "eval_every": 0,
+        }
+        if self.adv_layers > 0:  # the width is unused without hidden layers
+            minimums["adv_hidden"] = 1
+        for name, minimum in minimums.items():
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"train.{name}: must be >= {minimum}")
         w = self.weights
         if w.lambda_theta < 0:
             raise ConfigError("train.lambda_theta: must be >= 0")

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from fairrank.cli import main
+from fairrank.data import InteractionDataset, load_groups, load_interactions
+from fairrank.mf import load_checkpoint
 
 from conftest import DATA_DIR
+from oracles import brute_rank, brute_rsp
 
 SMALL_INTER = os.path.join(DATA_DIR, "interactions_small.csv")
 SMALL_GROUPS = os.path.join(DATA_DIR, "groups_small.csv")
@@ -155,9 +158,23 @@ def test_audit_with_checkpoint(corpus_dir, tmp_path, capsys):
                  "--groups", str(corpus_dir / "groups.csv"),
                  "--checkpoint", os.path.join(run_dir, "checkpoint"),
                  "--k", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "top-5 exposure probability by group:" in out
-    assert "exposure relative spread: " in out
+    out = capsys.readouterr().out.splitlines()
+    head = out.index("top-5 exposure probability by group:")
+    assert out[-1].startswith("exposure relative spread: ")
+
+    # oracle: every interaction is history, so all of it is excluded
+    raw = load_interactions(str(corpus_dir / "interactions.csv"))
+    catalog = load_groups(str(corpus_dir / "groups.csv"), raw.item_index)
+    params, _, _ = load_checkpoint(os.path.join(run_dir, "checkpoint"))
+    history = [[] for _ in range(raw.num_users)]
+    for u, i in raw.pairs.tolist():
+        history[u].append(i)
+    empty = [[] for _ in range(raw.num_users)]
+    ds = InteractionDataset(raw.num_users, raw.num_items, history, empty, empty)
+    expected = brute_rsp(brute_rank(params, ds, 5, "train"), ds, catalog, 5)
+    rows = [line.split("\t") for line in out[head + 1 : -1]]
+    assert [name for name, _ in rows] == catalog.group_names
+    assert np.allclose([float(p) for _, p in rows], expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

@@ -62,6 +62,10 @@ def _small_cfg(kind="bpr", **kw):
         (dict(batch_size=0), "batch_size"),
         (dict(theta_batches_per_round=0), "theta_batches_per_round"),
         (dict(adv_layers=-1), "adv_layers"),
+        (dict(epochs=-1), "^train.epochs: must be >= 0$"),
+        (dict(pretrain_epochs=-1), "^train.pretrain_epochs: must be >= 0$"),
+        (dict(eval_every=-1), "^train.eval_every: must be >= 0$"),
+        (dict(adv_layers=1, adv_hidden=0), "^train.adv_hidden: must be >= 1$"),
     ],
 )
 def test_validate_basic_errors(mutate, fragment):
