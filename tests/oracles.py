@@ -5,6 +5,7 @@ two can disagree.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,3 +112,225 @@ def brute_js(a, b, bins, eps=1e-10):
         m = 0.5 * (x + y)
         out += 0.5 * x * math.log(x / m) + 0.5 * y * math.log(y / m)
     return out
+
+
+# ---- reference evaluation: the full-matrix, per-user path -----------
+#
+# A verbatim copy of the evaluation code that scored every user against
+# every item in one N x M matrix and looped over users in Python.  The
+# blocked, vectorised `fairrank.evaluation` must reproduce its report
+# text byte for byte.
+
+
+@dataclass
+class RefRanking:
+    lists: list
+    k: int
+    exclude: str
+
+
+def _ref_score_matrix(params):
+    return params.user_factors @ params.item_matrix().T
+
+
+def ref_rank_topk(params, dataset, k, exclude="train"):
+    scores = _ref_score_matrix(params)
+    m = dataset.num_items
+    ids = np.arange(m)
+    lists = []
+    for u in range(dataset.num_users):
+        s = scores[u].copy()
+        s[dataset.train_pos[u]] = -np.inf
+        if exclude == "train+val":
+            s[dataset.val_pos[u]] = -np.inf
+        eligible = int(np.isfinite(s).sum())
+        take = min(k, eligible)
+        order = np.lexsort((ids, -s))
+        lists.append(order[:take].astype(np.int64))
+    return RefRanking(lists, k, exclude)
+
+
+def ref_prob_rsp(ranking, dataset, catalog, k):
+    memb = catalog.memberships.astype(np.float64)
+    num = np.zeros(catalog.num_groups)
+    denom = dataset.num_users * catalog.item_counts.astype(np.float64)
+    for u in range(dataset.num_users):
+        num += memb[ranking.lists[u][:k]].sum(axis=0)
+        denom -= memb[dataset.train_pos[u]].sum(axis=0)
+    return num / denom
+
+
+def ref_prob_reo(ranking, dataset, catalog, k):
+    memb = catalog.memberships.astype(np.float64)
+    num = np.zeros(catalog.num_groups)
+    denom = np.zeros(catalog.num_groups)
+    for u in range(dataset.num_users):
+        top = ranking.lists[u][:k]
+        if len(top):
+            hits = top[dataset.in_test(np.full(len(top), u), top)]
+            num += memb[hits].sum(axis=0)
+        denom += memb[dataset.test_pos[u]].sum(axis=0)
+    return num / denom
+
+
+def ref_f1_at_k(ranking, dataset, k, split="test"):
+    truth = dataset.test_pos if split == "test" else dataset.val_pos
+    values = []
+    for u in range(dataset.num_users):
+        t = truth[u]
+        if len(t) == 0:
+            continue
+        hits = int(np.isin(ranking.lists[u][:k], t).sum())
+        p = hits / k
+        r = hits / len(t)
+        values.append(0.0 if p + r == 0 else 2 * p * r / (p + r))
+    return float(np.mean(values))
+
+
+def ref_ndcg_at_k(ranking, dataset, k):
+    values = []
+    for u in range(dataset.num_users):
+        t = dataset.test_pos[u]
+        if len(t) == 0:
+            continue
+        top = ranking.lists[u][:k]
+        rel = np.isin(top, t).astype(np.float64)
+        discounts = 1.0 / np.log2(np.arange(2, len(top) + 2))
+        dcg = float((rel * discounts).sum())
+        ideal = 1.0 / np.log2(np.arange(2, min(k, len(t)) + 2))
+        values.append(dcg / ideal.sum())
+    return float(np.mean(values))
+
+
+def ref_js_divergence(samples_a, samples_b, bins=50):
+    a = np.asarray(samples_a, dtype=np.float64).ravel()
+    b = np.asarray(samples_b, dtype=np.float64).ravel()
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    if lo == hi:
+        return 0.0
+    ca, _ = np.histogram(a, bins=bins, range=(lo, hi))
+    cb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    p = ca.astype(np.float64) + 1e-10
+    q = cb.astype(np.float64) + 1e-10
+    p /= p.sum()
+    q /= q.sum()
+    mid = 0.5 * (p + q)
+    return float(
+        0.5 * np.sum(p * np.log(p / mid)) + 0.5 * np.sum(q * np.log(q / mid))
+    )
+
+
+def _ref_eligible_scores(scores_row, train_items):
+    mask = np.ones(scores_row.shape[0], dtype=bool)
+    mask[train_items] = False
+    return scores_row[mask]
+
+
+def ref_user_divergence(params, dataset, sample_pairs=1000, seed=0):
+    n = dataset.num_users
+    scores = _ref_score_matrix(params)
+    cache = {}
+
+    def rep(u):
+        if u not in cache:
+            cache[u] = _ref_eligible_scores(scores[u], dataset.train_pos[u])
+        return cache[u]
+
+    total = 0.0
+    count = 0
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n, size=sample_pairs)
+    vs = rng.integers(0, n, size=sample_pairs)
+    clash = us == vs
+    while clash.any():
+        vs[clash] = rng.integers(0, n, size=int(clash.sum()))
+        clash = us == vs
+    for u, v in zip(us, vs):
+        total += ref_js_divergence(rep(int(u)), rep(int(v)))
+        count += 1
+    return total / count
+
+
+def ref_group_divergence(params, dataset, catalog, mode="all"):
+    a_groups = catalog.num_groups
+    scores = _ref_score_matrix(params)
+    samples = []
+    if mode == "all":
+        elig = np.ones((dataset.num_users, dataset.num_items), dtype=bool)
+        for u in range(dataset.num_users):
+            elig[u, dataset.train_pos[u]] = False
+        for a in range(a_groups):
+            cols = catalog.memberships[:, a].astype(bool)
+            samples.append(scores[:, cols][elig[:, cols]])
+    else:
+        for a in range(a_groups):
+            cols = catalog.memberships[:, a].astype(bool)
+            vals = []
+            for u in range(dataset.num_users):
+                t = dataset.test_pos[u]
+                if len(t):
+                    picked = t[cols[t]]
+                    if len(picked):
+                        vals.append(scores[u, picked])
+            samples.append(
+                np.concatenate(vals) if vals else np.empty(0)
+            )
+    total = 0.0
+    count = 0
+    for a in range(a_groups):
+        for b in range(a + 1, a_groups):
+            total += ref_js_divergence(samples[a], samples[b])
+            count += 1
+    return total / count
+
+
+def reference_evaluate_model(
+    params, dataset, catalog, ks=(5, 10, 15), exclude="train+val",
+    js_user_pairs=1000, js_seed=0,
+):
+    """The full-matrix evaluation, as a FairnessReport."""
+    from fairrank.evaluation import (
+        FairnessReport,
+        _all_split_pairs,
+        group_ratio_stats,
+        relative_std,
+    )
+
+    ks = sorted(int(k) for k in ks)
+    ranking = ref_rank_topk(params, dataset, max(ks), exclude=exclude)
+    probs_rsp, probs_reo, rsp, reo, f1, ndcg = {}, {}, {}, {}, {}, {}
+    for k in ks:
+        pr = ref_prob_rsp(ranking, dataset, catalog, k)
+        pe = ref_prob_reo(ranking, dataset, catalog, k)
+        probs_rsp[k] = [float(x) for x in pr]
+        probs_reo[k] = [float(x) for x in pe]
+        rsp[k] = relative_std(pr)
+        reo[k] = relative_std(pe)
+        f1[k] = ref_f1_at_k(ranking, dataset, k)
+        ndcg[k] = ref_ndcg_at_k(ranking, dataset, k)
+    item_counts, feedback, ratios, ratio_rsd = group_ratio_stats(
+        catalog, _all_split_pairs(dataset)
+    )
+    return FairnessReport(
+        ks=ks,
+        group_names=list(catalog.group_names),
+        exclude=exclude,
+        group_probs_rsp=probs_rsp,
+        group_probs_reo=probs_reo,
+        rsp=rsp,
+        reo=reo,
+        f1=f1,
+        ndcg=ndcg,
+        js_user=ref_user_divergence(
+            params, dataset, sample_pairs=js_user_pairs, seed=js_seed
+        ),
+        js_group_all=ref_group_divergence(params, dataset, catalog, "all"),
+        js_group_pos=ref_group_divergence(
+            params, dataset, catalog, "positive"
+        ),
+        group_item_counts=[int(x) for x in item_counts],
+        group_feedback_counts=[int(x) for x in feedback],
+        group_ratios=[float(x) for x in ratios],
+        ratio_relative_std=float(ratio_rsd),
+    )

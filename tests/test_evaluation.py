@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fairrank.data import GroupCatalog, InteractionDataset
+from fairrank.data import (
+    GroupCatalog,
+    InteractionDataset,
+    SyntheticSpec,
+    generate_synthetic,
+    split,
+)
 from fairrank.errors import DataError
 from fairrank.evaluation import (
     FairnessReport,
@@ -27,6 +33,7 @@ from oracles import (
     brute_rank,
     brute_reo,
     brute_rsp,
+    reference_evaluate_model,
 )
 
 
@@ -344,3 +351,54 @@ def test_evaluate_model_prefix_consistency():
         ranking = rank_topk(params, ds, k, exclude="train+val")
         assert np.allclose(report.group_probs_rsp[k], prob_rsp(ranking, ds, cat))
         assert report.f1[k] == pytest.approx(f1_at_k(ranking, ds))
+
+
+def _identity_corpus(num_users, num_items, num_groups, seed):
+    """Synthetic split with edge users: user 0 has fewer than 15 eligible
+    items, users 1 and 2 have no test items (user 2 no val items either)."""
+    raw, catalog = generate_synthetic(
+        SyntheticSpec(
+            num_users=num_users,
+            num_items=num_items,
+            num_groups=num_groups,
+            group_item_shares=(1.0 / num_groups,) * num_groups,
+            group_popularity=tuple(np.linspace(1.0, 0.3, num_groups)),
+            interactions_per_user=12,
+            seed=seed,
+        )
+    )
+    ds = split(raw, seed=seed)
+    train, val, test = list(ds.train_pos), list(ds.val_pos), list(ds.test_pos)
+    held = np.concatenate([val[0], test[0]])
+    free = np.setdiff1d(np.arange(num_items), held)
+    train[0] = free[: len(free) - 3]
+    train[1] = np.sort(np.concatenate([train[1], test[1]]))
+    test[1] = np.empty(0, dtype=np.int64)
+    train[2] = np.sort(np.concatenate([train[2], val[2], test[2]]))
+    val[2] = test[2] = np.empty(0, dtype=np.int64)
+    return InteractionDataset(num_users, num_items, train, val, test), catalog
+
+
+_IDENTITY_CORPORA = {
+    "2groups": _identity_corpus(150, 40, 2, seed=3),
+    "3groups": _identity_corpus(97, 60, 3, seed=8),
+}
+
+
+def _identity_models(ds):
+    rng = np.random.default_rng(ds.num_users)
+    random_init = init_params(ds.num_users, ds.num_items, 6, seed=5)
+    # one decimal: many exact ties, broken by ascending item id
+    tied = np.round(rng.normal(size=(ds.num_users, ds.num_items)), 1)
+    return {"random": random_init, "tied": _params_from_scores(tied)}
+
+
+@pytest.mark.parametrize("exclude", ["train", "train+val"])
+@pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
+def test_evaluate_model_matches_reference_bytes(corpus, exclude):
+    ds, cat = _IDENTITY_CORPORA[corpus]
+    for name, params in _identity_models(ds).items():
+        kwargs = dict(ks=(1, 5, 15), exclude=exclude, js_user_pairs=200)
+        got = evaluate_model(params, ds, cat, **kwargs).to_json()
+        want = reference_evaluate_model(params, ds, cat, **kwargs).to_json()
+        assert got == want, name
