@@ -1,12 +1,14 @@
 """Top-k ranking, accuracy metrics, fairness probabilities, divergences.
 
 All metrics work on a RankingResult: per-user top-k item lists ordered by
-score descending with ties broken by ascending item id.
+score descending with ties broken by ascending item id.  Scores are made
+BLOCK_ROWS users at a time: memory is O(BLOCK_ROWS * M), never N x M.
 """
 
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,22 +23,40 @@ JS_EPS = 1e-10
 EXCLUDE_TRAIN = "train"
 EXCLUDE_TRAIN_VAL = "train+val"
 
+BLOCK_ROWS = 2048
+
 
 @dataclass
 class RankingResult:
-    """Per-user ranked item lists.
+    """Ranked lists: items[u, :lengths[u]] is user u's, the rest of the
+    (N, k) row is -1.  Shorter than k when u has fewer eligible items."""
 
-    lists[u] holds up to k item ids; shorter when the user has fewer
-    eligible items than k.
-    """
-
-    lists: list
+    items: np.ndarray
+    lengths: np.ndarray
     k: int
     exclude: str
 
+    @cached_property
+    def lists(self):
+        """Per-user views items[u, :lengths[u]]."""
+        return [row[:n] for row, n in zip(self.items, self.lengths)]
 
-def _score_matrix(params):
-    return params.user_factors @ params.item_matrix().T
+
+def _score_matrix(params, users=slice(None)):
+    return params.user_factors[users] @ params.item_matrix().T
+
+
+def _blocks(n):
+    """[lo, hi) user ranges of BLOCK_ROWS rows.  A one-row tail joins the
+    block before it: BLAS scores one row with gemv, which rounds unlike gemm."""
+    edges = list(range(0, max(n - 1, 1), BLOCK_ROWS)) + [n]
+    return zip(edges[:-1], edges[1:])
+
+
+def _set_pairs(block, lo, hi, users, items, value):
+    """Set users lo..hi-1's pairs of the user-major (users, items) arrays."""
+    s, e = np.searchsorted(users, (lo, hi))
+    block[users[s:e] - lo, items[s:e]] = value
 
 
 def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN):
@@ -66,25 +86,62 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN):
             f"({params.num_users}x{params.num_items} vs "
             f"{dataset.num_users}x{dataset.num_items})"
         )
-    scores = _score_matrix(params)
-    m = dataset.num_items
-    ids = np.arange(m)
-    lists = []
-    short = 0
-    for u in range(dataset.num_users):
-        s = scores[u].copy()
-        s[dataset.train_pos[u]] = -np.inf
-        if exclude == EXCLUDE_TRAIN_VAL:
-            s[dataset.val_pos[u]] = -np.inf
-        eligible = int(np.isfinite(s).sum())
-        take = min(k, eligible)
-        if eligible < k:
-            short += 1
-        order = np.lexsort((ids, -s))
-        lists.append(order[:take].astype(np.int64))
+    masked = [(dataset.pos_users, dataset.pos_items)]
+    if exclude == EXCLUDE_TRAIN_VAL:
+        masked.append(_flatten(dataset.val_pos))
+    n = dataset.num_users
+    depth = min(k, dataset.num_items) - 1
+    items = np.full((n, k), -1, dtype=np.int64)
+    lengths = np.empty(n, dtype=np.int64)
+    for lo, hi in _blocks(n):
+        neg = _score_matrix(params, slice(lo, hi))
+        for users, cols in masked:
+            _set_pairs(neg, lo, hi, users, cols, -np.inf)
+        lengths[lo:hi] = take = np.minimum(np.isfinite(neg).sum(axis=1), k)
+        np.negative(neg, out=neg)
+        # partition sorts NaN last, like the -score key of a full sort
+        kth = np.partition(neg, depth, axis=1)[:, depth]
+        rows, cols = np.nonzero(neg <= np.nan_to_num(kth, nan=np.inf)[:, None])
+        order = np.lexsort((cols, neg[rows, cols], rows))
+        cols = cols[order]  # rows, the first key, is already sorted
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        keep = rank < take[rows]
+        items[lo + rows[keep], rank[keep]] = cols[keep]
+    short = int((lengths < k).sum())
     if short:
         log.info("rank_topk: %d users had fewer than k=%d eligible items", short, k)
-    return RankingResult(lists, k, exclude)
+    return RankingResult(items, lengths, k, exclude)
+
+
+def _top(ranking, k):
+    k = ranking.k if k is None else k
+    if k > ranking.k:
+        raise ValueError(f"k={k} exceeds ranking depth {ranking.k}")
+    return k, ranking.items[:, :k]
+
+
+def _hits(dataset, top, split="test"):
+    """(N, k) bool: ranked item is a held-out ``split`` positive (not padding)."""
+    users = np.arange(len(top))[:, None]
+    if split == "test":
+        found = dataset.in_test(users, top)
+    else:
+        vu, vi = _flatten(dataset.val_pos)
+        found = dataset._member(np.sort(vu * dataset.num_items + vi), users, top)
+    return found & (top >= 0)
+
+
+def _group_sums(items, catalog):
+    """Group memberships summed over ``items``; integer-valued, exact."""
+    counts = np.bincount(items, minlength=catalog.num_items)
+    return (counts @ catalog.memberships).astype(np.float64)
+
+
+def _group_probs(ranked, denom, catalog, what):
+    if (denom <= 0).any():
+        bad = catalog.group_names[int(np.argmin(denom))]
+        raise DataError(f"group '{bad}' has no {what}")
+    return _group_sums(ranked, catalog) / denom
 
 
 def prob_rsp(ranking, dataset, catalog, k=None):
@@ -100,19 +157,10 @@ def prob_rsp(ranking, dataset, catalog, k=None):
     Raises:
         DataError: if some group has no eligible items in the denominator.
     """
-    k = ranking.k if k is None else k
-    if k > ranking.k:
-        raise ValueError(f"k={k} exceeds ranking depth {ranking.k}")
-    memb = catalog.memberships.astype(np.float64)
-    num = np.zeros(catalog.num_groups)
+    k, top = _top(ranking, k)
     denom = dataset.num_users * catalog.item_counts.astype(np.float64)
-    for u in range(dataset.num_users):
-        num += memb[ranking.lists[u][:k]].sum(axis=0)
-        denom -= memb[dataset.train_pos[u]].sum(axis=0)
-    if (denom <= 0).any():
-        bad = catalog.group_names[int(np.argmin(denom))]
-        raise DataError(f"group '{bad}' has no eligible items")
-    return num / denom
+    denom -= _group_sums(dataset.pos_items, catalog)
+    return _group_probs(top[top >= 0], denom, catalog, "eligible items")
 
 
 def prob_reo(ranking, dataset, catalog, k=None):
@@ -125,22 +173,9 @@ def prob_reo(ranking, dataset, catalog, k=None):
     Raises:
         DataError: if some group has no test positives.
     """
-    k = ranking.k if k is None else k
-    if k > ranking.k:
-        raise ValueError(f"k={k} exceeds ranking depth {ranking.k}")
-    memb = catalog.memberships.astype(np.float64)
-    num = np.zeros(catalog.num_groups)
-    denom = np.zeros(catalog.num_groups)
-    for u in range(dataset.num_users):
-        top = ranking.lists[u][:k]
-        if len(top):
-            hits = top[dataset.in_test(np.full(len(top), u), top)]
-            num += memb[hits].sum(axis=0)
-        denom += memb[dataset.test_pos[u]].sum(axis=0)
-    if (denom <= 0).any():
-        bad = catalog.group_names[int(np.argmin(denom))]
-        raise DataError(f"group '{bad}' has no test positives")
-    return num / denom
+    k, top = _top(ranking, k)
+    denom = _group_sums(_flatten(dataset.test_pos)[1], catalog)
+    return _group_probs(top[_hits(dataset, top)], denom, catalog, "test positives")
 
 
 def relative_std(values):
@@ -158,45 +193,43 @@ def f1_at_k(ranking, dataset, k=None, split="test"):
     """Mean per-user F1@k against held-out positives.
 
     Precision divides by k, recall by the user's held-out count; users with
-    an empty held-out set are skipped.
+    an empty held-out set are skipped.  ``split`` is "test" or "val".
     """
-    k = ranking.k if k is None else k
-    if k > ranking.k:
-        raise ValueError(f"k={k} exceeds ranking depth {ranking.k}")
+    if split not in ("test", "val"):
+        raise ValueError(f"split: must be 'test' or 'val', got '{split}'")
+    k, top = _top(ranking, k)
     truth = dataset.test_pos if split == "test" else dataset.val_pos
-    values = []
-    for u in range(dataset.num_users):
-        t = truth[u]
-        if len(t) == 0:
-            continue
-        hits = int(np.isin(ranking.lists[u][:k], t).sum())
-        p = hits / k
-        r = hits / len(t)
-        values.append(0.0 if p + r == 0 else 2 * p * r / (p + r))
-    if not values:
+    sizes = np.array([len(t) for t in truth])
+    has = sizes > 0
+    if not has.any():
         raise DataError(f"f1_at_k: no user has {split} items")
+    hits = _hits(dataset, top, split).sum(axis=1)[has]
+    p = hits / k
+    r = hits / sizes[has]
+    values = np.divide(2 * p * r, p + r, out=np.zeros_like(p), where=p + r != 0)
     return float(np.mean(values))
 
 
 def ndcg_at_k(ranking, dataset, k=None):
     """Mean per-user NDCG@k with binary relevance and log2 discount."""
-    k = ranking.k if k is None else k
-    if k > ranking.k:
-        raise ValueError(f"k={k} exceeds ranking depth {ranking.k}")
-    values = []
-    for u in range(dataset.num_users):
-        t = dataset.test_pos[u]
-        if len(t) == 0:
-            continue
-        top = ranking.lists[u][:k]
-        rel = np.isin(top, t).astype(np.float64)
-        discounts = 1.0 / np.log2(np.arange(2, len(top) + 2))
-        dcg = float((rel * discounts).sum())
-        ideal = 1.0 / np.log2(np.arange(2, min(k, len(t)) + 2))
-        values.append(dcg / ideal.sum())
-    if not values:
+    k, top = _top(ranking, k)
+    sizes = np.array([len(t) for t in dataset.test_pos])
+    has = sizes > 0
+    if not has.any():
         raise DataError("ndcg_at_k: no user has test items")
-    return float(np.mean(values))
+    rel = _hits(dataset, top)[has].astype(np.float64)
+    lengths = np.minimum(ranking.lengths[has], k)
+    ideal_len = np.minimum(sizes[has], k)
+    dcg = np.empty(len(rel))
+    ideal = np.empty(len(rel))
+    # each user's DCG sums exactly that user's list, as a row of its own
+    # length: zero padding would change numpy's pairwise summation order
+    for n in np.unique(np.concatenate((lengths, ideal_len))):
+        discounts = 1.0 / np.log2(np.arange(2, n + 2))
+        rows = lengths == n
+        dcg[rows] = (rel[rows, :n] * discounts).sum(axis=1)
+        ideal[ideal_len == n] = discounts.sum()
+    return float(np.mean(dcg / ideal))
 
 
 def js_divergence(samples_a, samples_b, bins=JS_BINS):
@@ -216,6 +249,11 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
         return 0.0
     ca, _ = np.histogram(a, bins=bins, range=(lo, hi))
     cb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    return _js_from_counts(ca, cb)
+
+
+def _js_from_counts(ca, cb):
+    """JS divergence of two histograms over the same bins."""
     p = ca.astype(np.float64) + JS_EPS
     q = cb.astype(np.float64) + JS_EPS
     p /= p.sum()
@@ -226,53 +264,35 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
     )
 
 
-def _eligible_scores(scores_row, train_items):
-    mask = np.ones(scores_row.shape[0], dtype=bool)
-    mask[train_items] = False
-    return scores_row[mask]
-
-
-def user_divergence(
-    params, dataset, sample_pairs=1000, seed=0, bins=JS_BINS, all_pairs=False
-):
+def user_divergence(params, dataset, sample_pairs=1000, seed=0, bins=JS_BINS):
     """Mean JS divergence between sampled user pairs' score distributions.
 
-    Each user is represented by their scores over non-training items.
-
-    Args:
-        sample_pairs: number of (u, v) pairs drawn uniformly with u != v.
-        all_pairs: exhaustively average over all unordered pairs instead.
+    ``sample_pairs`` (u, v) pairs are drawn uniformly with u != v.  Each user
+    is represented by their scores over non-training items; only sampled
+    users are scored.
     """
     n = dataset.num_users
     if n < 2:
         raise DataError("user_divergence: need at least two users")
-    scores = _score_matrix(params)
-    cache = {}
-
-    def rep(u):
-        if u not in cache:
-            cache[u] = _eligible_scores(scores[u], dataset.train_pos[u])
-        return cache[u]
-
-    total = 0.0
-    count = 0
-    if all_pairs:
-        for u in range(n):
-            for v in range(u + 1, n):
-                total += js_divergence(rep(u), rep(v), bins=bins)
-                count += 1
-    else:
-        rng = np.random.default_rng(seed)
-        us = rng.integers(0, n, size=sample_pairs)
-        vs = rng.integers(0, n, size=sample_pairs)
+    if sample_pairs < 1:
+        raise ValueError("sample_pairs: must be >= 1")
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n, size=sample_pairs)
+    vs = rng.integers(0, n, size=sample_pairs)
+    clash = us == vs
+    while clash.any():
+        vs[clash] = rng.integers(0, n, size=int(clash.sum()))
         clash = us == vs
-        while clash.any():
-            vs[clash] = rng.integers(0, n, size=int(clash.sum()))
-            clash = us == vs
-        for u, v in zip(us, vs):
-            total += js_divergence(rep(int(u)), rep(int(v)), bins=bins)
-            count += 1
-    return total / count
+    # u != v, so at least two rows are scored: never a gemv row
+    users = np.unique(np.concatenate((us, vs)))
+    reps = {
+        u: np.delete(row, dataset.train_pos[u])
+        for u, row in zip(users.tolist(), _score_matrix(params, users))
+    }
+    total = 0.0
+    for u, v in zip(us.tolist(), vs.tolist()):
+        total += js_divergence(reps[u], reps[v], bins=bins)
+    return total / sample_pairs
 
 
 def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
@@ -280,48 +300,57 @@ def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
 
     mode "all": each group is represented by the scores of every (user,
     item) pair with the item in the group and outside the user's training
-    positives.  mode "positive": only test-set pairs.
+    positives.  mode "positive": only test-set pairs.  Blocks are read
+    twice: for each group's min and max, then for histogram counts over each
+    group pair's range; the bin rule is per value, so counts add up.
     """
     if mode not in ("all", "positive"):
         raise ValueError(f"mode: unknown '{mode}'")
     a_groups = catalog.num_groups
     if a_groups < 2:
         raise DataError("group_divergence: need at least two groups")
-    scores = _score_matrix(params)
-    samples = []
-    if mode == "all":
-        elig = np.ones((dataset.num_users, dataset.num_items), dtype=bool)
-        for u in range(dataset.num_users):
-            elig[u, dataset.train_pos[u]] = False
-        for a in range(a_groups):
-            cols = catalog.memberships[:, a].astype(bool)
-            samples.append(scores[:, cols][elig[:, cols]])
-    else:
-        for a in range(a_groups):
-            cols = catalog.memberships[:, a].astype(bool)
-            vals = []
-            for u in range(dataset.num_users):
-                t = dataset.test_pos[u]
-                if len(t):
-                    picked = t[cols[t]]
-                    if len(picked):
-                        vals.append(scores[u, picked])
-            samples.append(
-                np.concatenate(vals) if vals else np.empty(0)
-            )
-    for a, s in enumerate(samples):
-        if s.size == 0:
-            raise DataError(
-                f"group '{catalog.group_names[a]}' has no scores in mode "
-                f"'{mode}'"
-            )
-    total = 0.0
-    count = 0
-    for a in range(a_groups):
-        for b in range(a + 1, a_groups):
-            total += js_divergence(samples[a], samples[b], bins=bins)
-            count += 1
-    return total / count
+    member = catalog.memberships.astype(bool)
+    group_cols = [np.flatnonzero(member[:, a]) for a in range(a_groups)]
+    held = dataset.train_pos if mode == "all" else dataset.test_pos
+    users, items = _flatten(held)
+
+    def passes():
+        for lo, hi in _blocks(dataset.num_users):
+            block = _score_matrix(params, slice(lo, hi))
+            if mode == "all":
+                # NaN is skipped by fmin/fmax and dropped by a histogram
+                # with an explicit range
+                _set_pairs(block, lo, hi, users, items, np.nan)
+                yield [block.take(cols, axis=1) for cols in group_cols]
+            else:
+                s, e = np.searchsorted(users, (lo, hi))
+                vals = block[users[s:e] - lo, items[s:e]]
+                yield [vals[member[items[s:e], a]] for a in range(a_groups)]
+
+    if mode == "positive":
+        kept = list(passes())  # test pairs are few: score them once
+        passes = lambda: kept  # noqa: E731
+    lo, hi = np.full(a_groups, np.inf), np.full(a_groups, -np.inf)
+    for parts in passes():
+        for a, x in enumerate(parts):
+            lo[a] = np.fmin(lo[a], np.fmin.reduce(x, None, initial=np.inf))
+            hi[a] = np.fmax(hi[a], np.fmax.reduce(x, None, initial=-np.inf))
+    if (lo > hi).any():
+        raise DataError(
+            f"group '{catalog.group_names[int(np.argmax(lo > hi))]}' has no "
+            f"scores in mode '{mode}'"
+        )
+    pairs = [(a, b) for a in range(a_groups) for b in range(a + 1, a_groups)]
+    ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
+    counts = {(a, r): 0 for p, r in zip(pairs, ranges) for a in p}
+    for parts in passes():
+        for a, r in counts:
+            counts[a, r] = counts[a, r] + np.histogram(parts[a], bins, r)[0]
+    js = [
+        0.0 if r[0] == r[1] else _js_from_counts(counts[a, r], counts[b, r])
+        for (a, b), r in zip(pairs, ranges)
+    ]
+    return sum(js) / len(js)
 
 
 def group_ratio_stats(catalog, pairs):
@@ -333,14 +362,19 @@ def group_ratio_stats(catalog, pairs):
     Returns:
         (item_counts, feedback_counts, ratios, ratio_relative_std)
     """
-    memb = catalog.memberships.astype(np.float64)
     item_counts = catalog.item_counts.astype(np.float64)
     if (item_counts == 0).any():
         bad = catalog.group_names[int(np.argmin(item_counts))]
         raise DataError(f"group '{bad}' has no items")
-    feedback = memb[np.asarray(pairs)[:, 1]].sum(axis=0)
+    feedback = _group_sums(np.asarray(pairs)[:, 1], catalog)
     ratios = feedback / item_counts
     return item_counts, feedback, ratios, relative_std(ratios)
+
+
+# per-k metrics in report.tsv row order, then the scalar and per-group fields
+_PER_K_FIELDS = ("f1", "ndcg", "rsp", "reo")
+_JS_FIELDS = ("js_user", "js_group_all", "js_group_pos")
+_GROUP_FIELDS = ("group_item_counts", "group_feedback_counts", "group_ratios")
 
 
 @dataclass
@@ -373,23 +407,16 @@ class FairnessReport:
             "ks": list(self.ks),
             "group_names": list(self.group_names),
             "exclude": self.exclude,
-            "group_probs": {
-                "rsp": {str(k): list(v) for k, v in self.group_probs_rsp.items()},
-                "reo": {str(k): list(v) for k, v in self.group_probs_reo.items()},
-            },
-            "js_user": self.js_user,
-            "js_group_all": self.js_group_all,
-            "js_group_pos": self.js_group_pos,
-            "group_item_counts": list(self.group_item_counts),
-            "group_feedback_counts": list(self.group_feedback_counts),
-            "group_ratios": list(self.group_ratios),
             "ratio_relative_std": self.ratio_relative_std,
+            "group_probs": {
+                m: {str(k): list(v) for k, v in getattr(self, f"group_probs_{m}").items()}
+                for m in ("rsp", "reo")
+            },
         }
+        out.update({name: getattr(self, name) for name in _JS_FIELDS})
+        out.update({name: list(getattr(self, name)) for name in _GROUP_FIELDS})
         for k in self.ks:
-            out[f"rsp@{k}"] = self.rsp[k]
-            out[f"reo@{k}"] = self.reo[k]
-            out[f"f1@{k}"] = self.f1[k]
-            out[f"ndcg@{k}"] = self.ndcg[k]
+            out.update({f"{m}@{k}": getattr(self, m)[k] for m in _PER_K_FIELDS})
         return out
 
     @classmethod
@@ -399,23 +426,16 @@ class FairnessReport:
             ks=ks,
             group_names=list(d["group_names"]),
             exclude=d["exclude"],
-            group_probs_rsp={
-                int(k): list(v) for k, v in d["group_probs"]["rsp"].items()
-            },
-            group_probs_reo={
-                int(k): list(v) for k, v in d["group_probs"]["reo"].items()
-            },
-            rsp={k: d[f"rsp@{k}"] for k in ks},
-            reo={k: d[f"reo@{k}"] for k in ks},
-            f1={k: d[f"f1@{k}"] for k in ks},
-            ndcg={k: d[f"ndcg@{k}"] for k in ks},
-            js_user=d["js_user"],
-            js_group_all=d["js_group_all"],
-            js_group_pos=d["js_group_pos"],
-            group_item_counts=list(d["group_item_counts"]),
-            group_feedback_counts=list(d["group_feedback_counts"]),
-            group_ratios=list(d["group_ratios"]),
             ratio_relative_std=d["ratio_relative_std"],
+            **{
+                f"group_probs_{m}": {
+                    int(k): list(v) for k, v in d["group_probs"][m].items()
+                }
+                for m in ("rsp", "reo")
+            },
+            **{m: {k: d[f"{m}@{k}"] for k in ks} for m in _PER_K_FIELDS},
+            **{name: d[name] for name in _JS_FIELDS},
+            **{name: list(d[name]) for name in _GROUP_FIELDS},
         )
 
     def to_json(self):
@@ -427,26 +447,9 @@ class FairnessReport:
 
     def to_tsv(self, model):
         """Plot-ready rows: k<TAB>metric<TAB>model<TAB>value."""
-        lines = []
-        for k in self.ks:
-            lines.append(f"{k}\tf1\t{model}\t{self.f1[k]!r}")
-            lines.append(f"{k}\tndcg\t{model}\t{self.ndcg[k]!r}")
-            lines.append(f"{k}\trsp\t{model}\t{self.rsp[k]!r}")
-            lines.append(f"{k}\treo\t{model}\t{self.reo[k]!r}")
-        lines.append(f"-\tjs_user\t{model}\t{self.js_user!r}")
-        lines.append(f"-\tjs_group_all\t{model}\t{self.js_group_all!r}")
-        lines.append(f"-\tjs_group_pos\t{model}\t{self.js_group_pos!r}")
-        return "\n".join(lines) + "\n"
-
-
-def _all_split_pairs(dataset):
-    """Recombine train/val/test into one (P, 2) dense pair array."""
-    return np.concatenate(
-        [
-            np.stack(_flatten(lists), axis=1)
-            for lists in (dataset.train_pos, dataset.val_pos, dataset.test_pos)
-        ]
-    )
+        rows = [(k, m, getattr(self, m)[k]) for k in self.ks for m in _PER_K_FIELDS]
+        rows += [("-", n, getattr(self, n)) for n in _JS_FIELDS]
+        return "".join(f"{k}\t{m}\t{model}\t{v!r}\n" for k, m, v in rows)
 
 
 def evaluate_model(
@@ -461,29 +464,25 @@ def evaluate_model(
     """Full evaluation of a trained model into a FairnessReport."""
     ks = sorted(int(k) for k in ks)
     ranking = rank_topk(params, dataset, max(ks), exclude=exclude)
-    probs_rsp, probs_reo, rsp, reo, f1, ndcg = {}, {}, {}, {}, {}, {}
-    for k in ks:
-        pr = prob_rsp(ranking, dataset, catalog, k=k)
-        pe = prob_reo(ranking, dataset, catalog, k=k)
-        probs_rsp[k] = [float(x) for x in pr]
-        probs_reo[k] = [float(x) for x in pe]
-        rsp[k] = relative_std(pr)
-        reo[k] = relative_std(pe)
-        f1[k] = f1_at_k(ranking, dataset, k=k)
-        ndcg[k] = ndcg_at_k(ranking, dataset, k=k)
+    rsp = {k: prob_rsp(ranking, dataset, catalog, k=k) for k in ks}
+    reo = {k: prob_reo(ranking, dataset, catalog, k=k) for k in ks}
+    pairs = [
+        np.stack(_flatten(lists), axis=1)
+        for lists in (dataset.train_pos, dataset.val_pos, dataset.test_pos)
+    ]
     item_counts, feedback, ratios, ratio_rsd = group_ratio_stats(
-        catalog, _all_split_pairs(dataset)
+        catalog, np.concatenate(pairs)
     )
     return FairnessReport(
         ks=ks,
         group_names=list(catalog.group_names),
         exclude=exclude,
-        group_probs_rsp=probs_rsp,
-        group_probs_reo=probs_reo,
-        rsp=rsp,
-        reo=reo,
-        f1=f1,
-        ndcg=ndcg,
+        group_probs_rsp={k: [float(x) for x in p] for k, p in rsp.items()},
+        group_probs_reo={k: [float(x) for x in p] for k, p in reo.items()},
+        rsp={k: relative_std(p) for k, p in rsp.items()},
+        reo={k: relative_std(p) for k, p in reo.items()},
+        f1={k: f1_at_k(ranking, dataset, k=k) for k in ks},
+        ndcg={k: ndcg_at_k(ranking, dataset, k=k) for k in ks},
         js_user=user_divergence(
             params, dataset, sample_pairs=js_user_pairs, seed=js_seed
         ),

@@ -285,17 +285,73 @@ def ref_group_divergence(params, dataset, catalog, mode="all"):
     return total / count
 
 
+def _ref_all_split_pairs(dataset):
+    from fairrank.data import _flatten
+
+    return np.concatenate(
+        [
+            np.stack(_flatten(lists), axis=1)
+            for lists in (dataset.train_pos, dataset.val_pos, dataset.test_pos)
+        ]
+    )
+
+
+def ref_group_ratio_stats(catalog, pairs):
+    from fairrank.evaluation import relative_std
+
+    memb = catalog.memberships.astype(np.float64)
+    item_counts = catalog.item_counts.astype(np.float64)
+    feedback = memb[np.asarray(pairs)[:, 1]].sum(axis=0)
+    ratios = feedback / item_counts
+    return item_counts, feedback, ratios, relative_std(ratios)
+
+
+def ref_report_dict(report):
+    """FairnessReport.to_dict as it was written field by field."""
+    out = {
+        "ks": list(report.ks),
+        "group_names": list(report.group_names),
+        "exclude": report.exclude,
+        "group_probs": {
+            "rsp": {str(k): list(v) for k, v in report.group_probs_rsp.items()},
+            "reo": {str(k): list(v) for k, v in report.group_probs_reo.items()},
+        },
+        "js_user": report.js_user,
+        "js_group_all": report.js_group_all,
+        "js_group_pos": report.js_group_pos,
+        "group_item_counts": list(report.group_item_counts),
+        "group_feedback_counts": list(report.group_feedback_counts),
+        "group_ratios": list(report.group_ratios),
+        "ratio_relative_std": report.ratio_relative_std,
+    }
+    for k in report.ks:
+        out[f"rsp@{k}"] = report.rsp[k]
+        out[f"reo@{k}"] = report.reo[k]
+        out[f"f1@{k}"] = report.f1[k]
+        out[f"ndcg@{k}"] = report.ndcg[k]
+    return out
+
+
+def ref_report_tsv(report, model):
+    """FairnessReport.to_tsv as it was written row by row."""
+    lines = []
+    for k in report.ks:
+        lines.append(f"{k}\tf1\t{model}\t{report.f1[k]!r}")
+        lines.append(f"{k}\tndcg\t{model}\t{report.ndcg[k]!r}")
+        lines.append(f"{k}\trsp\t{model}\t{report.rsp[k]!r}")
+        lines.append(f"{k}\treo\t{model}\t{report.reo[k]!r}")
+    lines.append(f"-\tjs_user\t{model}\t{report.js_user!r}")
+    lines.append(f"-\tjs_group_all\t{model}\t{report.js_group_all!r}")
+    lines.append(f"-\tjs_group_pos\t{model}\t{report.js_group_pos!r}")
+    return "\n".join(lines) + "\n"
+
+
 def reference_evaluate_model(
     params, dataset, catalog, ks=(5, 10, 15), exclude="train+val",
     js_user_pairs=1000, js_seed=0,
 ):
     """The full-matrix evaluation, as a FairnessReport."""
-    from fairrank.evaluation import (
-        FairnessReport,
-        _all_split_pairs,
-        group_ratio_stats,
-        relative_std,
-    )
+    from fairrank.evaluation import FairnessReport, relative_std
 
     ks = sorted(int(k) for k in ks)
     ranking = ref_rank_topk(params, dataset, max(ks), exclude=exclude)
@@ -309,8 +365,8 @@ def reference_evaluate_model(
         reo[k] = relative_std(pe)
         f1[k] = ref_f1_at_k(ranking, dataset, k)
         ndcg[k] = ref_ndcg_at_k(ranking, dataset, k)
-    item_counts, feedback, ratios, ratio_rsd = group_ratio_stats(
-        catalog, _all_split_pairs(dataset)
+    item_counts, feedback, ratios, ratio_rsd = ref_group_ratio_stats(
+        catalog, _ref_all_split_pairs(dataset)
     )
     return FairnessReport(
         ks=ks,

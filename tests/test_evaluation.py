@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from fairrank import evaluation
 from fairrank.data import (
     GroupCatalog,
     InteractionDataset,
@@ -33,6 +36,9 @@ from oracles import (
     brute_rank,
     brute_reo,
     brute_rsp,
+    ref_report_dict,
+    ref_rank_topk,
+    ref_report_tsv,
     reference_evaluate_model,
 )
 
@@ -208,6 +214,15 @@ def test_f1_skips_users_without_truth():
         f1_at_k(rank_topk(params, empty, 1), empty)
 
 
+def test_f1_rejects_unknown_split():
+    scores = np.array([[4.0, 3.0], [2.0, 1.0]])
+    params = _params_from_scores(scores)
+    ds = _dataset(2, 2, [[], []], test=[np.array([0]), np.array([1])])
+    ranking = rank_topk(params, ds, 1, exclude="train")
+    with pytest.raises(ValueError, match="^split: must be 'test' or 'val'"):
+        f1_at_k(ranking, ds, split="train")
+
+
 def test_ndcg_hand_value():
     scores = np.array([[4.0, 3.0, 2.0, 1.0]])
     params = _params_from_scores(scores)
@@ -254,6 +269,13 @@ def test_user_divergence_basics():
     one = random_dataset(rng, 1, 20)
     with pytest.raises(DataError, match="two users"):
         user_divergence(init_params(1, 20, 4, seed=0), one)
+
+
+def test_user_divergence_rejects_zero_pairs():
+    rng = np.random.default_rng(1)
+    ds = random_dataset(rng, 4, 10)
+    with pytest.raises(ValueError, match="^sample_pairs: must be >= 1$"):
+        user_divergence(init_params(4, 10, 3, seed=0), ds, sample_pairs=0)
 
 
 def test_user_divergence_identical_users_zero():
@@ -354,8 +376,10 @@ def test_evaluate_model_prefix_consistency():
 
 
 def _identity_corpus(num_users, num_items, num_groups, seed):
-    """Synthetic split with edge users: user 0 has fewer than 15 eligible
-    items, users 1 and 2 have no test items (user 2 no val items either)."""
+    """Synthetic split with edge users: every fifth user holds all their
+    held-out items in test and has 6 or 7 eligible items, list lengths where
+    zero padding to 15 changes numpy's NDCG sums; users 1 and 2 have no test
+    items (user 2 no val items either)."""
     raw, catalog = generate_synthetic(
         SyntheticSpec(
             num_users=num_users,
@@ -369,9 +393,12 @@ def _identity_corpus(num_users, num_items, num_groups, seed):
     )
     ds = split(raw, seed=seed)
     train, val, test = list(ds.train_pos), list(ds.val_pos), list(ds.test_pos)
-    held = np.concatenate([val[0], test[0]])
-    free = np.setdiff1d(np.arange(num_items), held)
-    train[0] = free[: len(free) - 3]
+    for u in range(0, num_users, 5):
+        extra = 2 + u % 2
+        test[u] = np.sort(np.concatenate([val[u], test[u]]))
+        val[u] = np.empty(0, dtype=np.int64)
+        free = np.setdiff1d(np.arange(num_items), test[u])
+        train[u] = free[: len(free) - extra]
     train[1] = np.sort(np.concatenate([train[1], test[1]]))
     test[1] = np.empty(0, dtype=np.int64)
     train[2] = np.sort(np.concatenate([train[2], val[2], test[2]]))
@@ -393,12 +420,41 @@ def _identity_models(ds):
     return {"random": random_init, "tied": _params_from_scores(tied)}
 
 
+@pytest.mark.parametrize("rows", [2, 3, 64])
+def test_blocks_cover_users_without_single_row_blocks(rows, monkeypatch):
+    # BLAS scores a lone row with gemv, which rounds unlike a block's gemm
+    monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
+    for n in range(1, 3 * rows + 3):
+        blocks = list(evaluation._blocks(n))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        sizes = [hi - lo for lo, hi in blocks]
+        assert max(sizes) <= rows + 1
+        assert min(sizes) >= min(n, 2)
+
+
+# block sizes: tiny, odd, mid, the whole corpus, and N - 1, which leaves a
+# one-row remainder that must join the block before it
+@pytest.mark.parametrize("block", [2, 3, 64, "n", "n-1"])
 @pytest.mark.parametrize("exclude", ["train", "train+val"])
 @pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
-def test_evaluate_model_matches_reference_bytes(corpus, exclude):
+def test_evaluate_model_matches_reference_bytes(
+    corpus, exclude, block, monkeypatch
+):
     ds, cat = _IDENTITY_CORPORA[corpus]
+    n = ds.num_users
+    rows = {"n": n, "n-1": n - 1}.get(block, block)
+    monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
     for name, params in _identity_models(ds).items():
         kwargs = dict(ks=(1, 5, 15), exclude=exclude, js_user_pairs=200)
-        got = evaluate_model(params, ds, cat, **kwargs).to_json()
-        want = reference_evaluate_model(params, ds, cat, **kwargs).to_json()
-        assert got == want, name
+        got = evaluate_model(params, ds, cat, **kwargs)
+        want = reference_evaluate_model(params, ds, cat, **kwargs)
+        assert got.to_json() == want.to_json(), name
+        assert got.to_json() == json.dumps(
+            ref_report_dict(want), indent=2, sort_keys=True
+        ), name
+        assert got.to_tsv("m") == ref_report_tsv(want, "m"), name
+        ranking = evaluation.rank_topk(params, ds, 15, exclude=exclude)
+        assert [l.tolist() for l in ranking.lists] == [
+            l.tolist() for l in ref_rank_topk(params, ds, 15, exclude).lists
+        ], name
