@@ -208,6 +208,11 @@ def load_config(path, validate_train=True):
                 except ValueError as exc:
                     raise ConfigError(f"config [{section}] {key}: {exc}")
                 _assign(cfg, path, value)
+    if abs(sum(cfg.ratios) - 1.0) > 1e-9:
+        raise ConfigError(
+            "config [data] train_ratio, val_ratio, test_ratio: must sum to 1, "
+            f"got {sum(cfg.ratios):.12g}"
+        )
     if cfg.synthetic is not None:
         cfg.synthetic.validate()
     if validate_train:

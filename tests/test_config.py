@@ -250,6 +250,12 @@ def test_full_ini_field_values(tmp_path):
             id="js-user-pairs-zero",
         ),
         pytest.param(
+            "[data]\ntrain_ratio = 0.7\n",
+            "config [data] train_ratio, val_ratio, test_ratio: must sum to 1, "
+            "got 1.1",
+            id="ratios-sum",
+        ),
+        pytest.param(
             "[train]\nmodel = nope\n",
             "train.model: unknown kind 'nope'",
             id="train-validation",
