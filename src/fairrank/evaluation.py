@@ -220,8 +220,7 @@ def ndcg_at_k(ranking, dataset, k=None):
     rel = _hits(dataset, top)[has].astype(np.float64)
     lengths = np.minimum(ranking.lengths[has], k)
     ideal_len = np.minimum(sizes[has], k)
-    dcg = np.empty(len(rel))
-    ideal = np.empty(len(rel))
+    dcg, ideal = np.empty((2, len(rel)))
     # each user's DCG sums exactly that user's list, as a row of its own
     # length: zero padding would change numpy's pairwise summation order
     for n in np.unique(np.concatenate((lengths, ideal_len))):
@@ -311,39 +310,41 @@ def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
         raise DataError("group_divergence: need at least two groups")
     member = catalog.memberships.astype(bool)
     group_cols = [np.flatnonzero(member[:, a]) for a in range(a_groups)]
-    held = dataset.train_pos if mode == "all" else dataset.test_pos
-    users, items = _flatten(held)
+    users, items = _flatten(dataset.train_pos if mode == "all" else dataset.test_pos)
 
     def passes():
+        """Per block: scores, NaN where excluded, and each group's columns."""
         for lo, hi in _blocks(dataset.num_users):
             block = _score_matrix(params, slice(lo, hi))
             if mode == "all":
-                # NaN is skipped by fmin/fmax and dropped by a histogram
-                # with an explicit range
+                # fmin/fmax skip NaN; a histogram with a range drops it
                 _set_pairs(block, lo, hi, users, items, np.nan)
-                yield [block.take(cols, axis=1) for cols in group_cols]
+                yield block, group_cols
             else:
                 s, e = np.searchsorted(users, (lo, hi))
-                vals = block[users[s:e] - lo, items[s:e]]
-                yield [vals[member[items[s:e], a]] for a in range(a_groups)]
+                in_group = member[items[s:e]]
+                yield block[users[s:e] - lo, items[s:e]][None], [
+                    np.flatnonzero(in_group[:, a]) for a in range(a_groups)
+                ]
 
     if mode == "positive":
         kept = list(passes())  # test pairs are few: score them once
         passes = lambda: kept  # noqa: E731
     lo, hi = np.full(a_groups, np.inf), np.full(a_groups, -np.inf)
-    for parts in passes():
-        for a, x in enumerate(parts):
-            lo[a] = np.fmin(lo[a], np.fmin.reduce(x, None, initial=np.inf))
-            hi[a] = np.fmax(hi[a], np.fmax.reduce(x, None, initial=-np.inf))
+    for x, cols in passes():
+        x_lo = np.fmin.reduce(x, axis=0, initial=np.inf)
+        x_hi = np.fmax.reduce(x, axis=0, initial=-np.inf)
+        for a, c in enumerate(cols):
+            lo[a] = np.fmin.reduce(x_lo[c], initial=lo[a])
+            hi[a] = np.fmax.reduce(x_hi[c], initial=hi[a])
     if (lo > hi).any():
-        raise DataError(
-            f"group '{catalog.group_names[int(np.argmax(lo > hi))]}' has no "
-            f"scores in mode '{mode}'"
-        )
+        bad = catalog.group_names[int(np.argmax(lo > hi))]
+        raise DataError(f"group '{bad}' has no scores in mode '{mode}'")
     pairs = [(a, b) for a in range(a_groups) for b in range(a + 1, a_groups)]
     ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
     counts = {(a, r): 0 for p, r in zip(pairs, ranges) for a in p}
-    for parts in passes():
+    for x, cols in passes():
+        parts = [x.take(c, axis=1) for c in cols]
         for a, r in counts:
             counts[a, r] = counts[a, r] + np.histogram(parts[a], bins, r)[0]
     js = [
