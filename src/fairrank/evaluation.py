@@ -29,7 +29,7 @@ BLOCK_ROWS = 2048
 @dataclass
 class RankingResult:
     """Ranked lists: items[u, :lengths[u]] is user u's, the rest of the
-    (N, k) row is -1.  Shorter than k when u has fewer eligible items."""
+    (N, min(k, M)) row is -1.  Shorter than k when u has fewer eligible items."""
 
     items: np.ndarray
     lengths: np.ndarray
@@ -91,7 +91,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN):
         masked.append(_flatten(dataset.val_pos))
     n = dataset.num_users
     depth = min(k, dataset.num_items) - 1
-    items = np.full((n, k), -1, dtype=np.int64)
+    items = np.full((n, depth + 1), -1, dtype=np.int64)
     lengths = np.empty(n, dtype=np.int64)
     for lo, hi in _blocks(n):
         neg = _score_matrix(params, slice(lo, hi))

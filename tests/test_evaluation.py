@@ -83,6 +83,17 @@ def test_rank_topk_short_lists():
     assert ranking.lists[0].tolist() == [2]
 
 
+def test_rank_topk_depth_beyond_catalog_stays_bounded():
+    # a k far above the item count pads to M columns, not to k
+    scores = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    params = _params_from_scores(scores)
+    ds = _dataset(2, 3, [np.array([0]), []])
+    ranking = rank_topk(params, ds, 10**15, exclude="train")
+    assert ranking.items.tolist() == [[2, 1, -1], [0, 1, 2]]
+    assert ranking.lengths.tolist() == [2, 3]
+    assert [l.tolist() for l in ranking.lists] == [[2, 1], [0, 1, 2]]
+
+
 def test_rank_topk_validation():
     params = init_params(2, 3, 2, seed=0)
     ds = _dataset(2, 3, [[], []])
