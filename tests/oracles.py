@@ -9,6 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fairrank.adversary import PROB_CLAMP
+from fairrank.util import sigmoid
+
 
 def brute_rank(params, dataset, k, exclude):
     imat = params.item_matrix()
@@ -390,3 +393,52 @@ def reference_evaluate_model(
         group_ratios=[float(x) for x in ratios],
         ratio_relative_std=float(ratio_rsd),
     )
+
+
+# ---- discriminator: the allocating forward/backward pass -----------------
+
+
+def _ref_forward(psi, scores):
+    """Returns (activations, pre_acts, probs); activations[0] is the input."""
+    h = np.asarray(scores, dtype=np.float64).reshape(-1, 1)
+    acts = [h]
+    pres = []
+    for w, b in zip(psi.weights[:-1], psi.biases[:-1]):
+        z = h @ w + b
+        pres.append(z)
+        h = np.maximum(z, 0.0)
+        acts.append(h)
+    z_out = h @ psi.weights[-1] + psi.biases[-1]
+    return acts, pres, sigmoid(z_out)
+
+
+def ref_loglik_and_grads(psi, scores, labels):
+    """Batched log-likelihood with all gradients.
+
+    Args:
+        psi: AdversaryParams.
+        scores: (B,) input scores.
+        labels: (B, A) 0/1 group memberships.
+
+    Returns:
+        (ll, grads, d_score): per-sample log-likelihoods (B,); parameter
+        gradients of the batch SUM keyed like psi.blocks(); per-sample
+        d loglik / d score (B,).
+    """
+    g = np.asarray(labels, dtype=np.float64)
+    acts, pres, probs = _ref_forward(psi, scores)
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    ll = np.sum(g * np.log(p) + (1.0 - g) * np.log1p(-p), axis=1)
+    # sigmoid output + Bernoulli log-likelihood: d ll / d z_out = g - probs
+    dz = g - probs
+    grads = {}
+    n_layers = len(psi.weights)
+    grads[f"w{n_layers - 1}"] = acts[-1].T @ dz
+    grads[f"b{n_layers - 1}"] = dz.sum(axis=0)
+    dh = dz @ psi.weights[-1].T
+    for idx in range(n_layers - 2, -1, -1):
+        dpre = dh * (pres[idx] > 0.0)
+        grads[f"w{idx}"] = acts[idx].T @ dpre
+        grads[f"b{idx}"] = dpre.sum(axis=0)
+        dh = dpre @ psi.weights[idx].T
+    return ll, grads, dh[:, 0]

@@ -9,6 +9,8 @@ from fairrank.adversary import (
 )
 from fairrank.errors import ConfigError
 
+from oracles import ref_loglik_and_grads
+
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
@@ -176,3 +178,41 @@ def test_relu_kink_uses_zero_subgradient():
     assert np.all(d_score == 0.0)
     # the output layer still learns (its bias gradient is nonzero)
     assert np.any(grads[f"b{psi.num_hidden_layers}"] != 0.0)
+
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes: signed zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+def _oracle_case(layers, groups, n, seed=0):
+    """A width-50 adversary with one dead unit per hidden layer, and a
+    batch whose every seventh score is exactly zero."""
+    rng = np.random.default_rng(seed)
+    psi = init_adversary(groups, hidden_layers=layers, hidden_width=50,
+                         seed=seed)
+    for b in psi.biases:
+        b += rng.normal(scale=0.3, size=b.shape)
+    for b in psi.biases[:-1]:
+        b[0] = -1e3
+    scores = rng.normal(scale=2.0, size=n)
+    scores[::7] = 0.0
+    labels = (rng.random((n, groups)) < 0.5).astype(np.float64)
+    return psi, scores, labels
+
+
+@pytest.mark.parametrize("layers", [0, 1, 4])
+@pytest.mark.parametrize("groups", [1, 2, 3])
+def test_loglik_matches_reference_bits(layers, groups):
+    for n in (1, 2, 1024, 5120):
+        psi, scores, labels = _oracle_case(layers, groups, n, seed=n)
+        ll_r, grads_r, d_r = ref_loglik_and_grads(psi, scores, labels)
+        ll, grads, d_score = loglik_and_grads(psi, scores, labels)
+        assert _same_bits(ll, ll_r)
+        assert _same_bits(d_score, d_r)
+        assert list(grads) == list(grads_r)
+        for name in grads_r:
+            assert _same_bits(grads[name], grads_r[name]), name

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -488,3 +490,74 @@ def test_kl_drives_moments_toward_standard_normal(synth_dataset):
         )
 
     assert moment_error(30.0) < 0.5 * moment_error(0.0)
+
+
+# ---- pinned trajectories --------------------------------------------
+
+
+def _sha(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _trajectory_digests(res):
+    """(factors and ranking-side log, adversary and its log column)."""
+    recs = res.log.records
+    factors = _sha(
+        [
+            res.final_params.user_factors,
+            res.final_params.item_factors,
+            res.params.user_factors,
+            res.params.item_factors,
+            [(r.loss_bpr, r.loss_kl, r.val_f1_15) for r in recs],
+        ]
+    )
+    if res.adversary is None:
+        return factors, None
+    psi = res.adversary
+    return factors, _sha(
+        psi.weights + psi.biases + [[r.loss_adv for r in recs]]
+    )
+
+
+# sha256 prefixes of short runs on the conftest corpus: 1 warm-start epoch,
+# 3 rounds of 2 model batches, validation every 2 epochs
+_PINNED_RUNS = {
+    ("dpr-rsp", 0, 10.0, 1.0): ("de0242c6c00b4920", "eb1c10db98841ea7"),
+    ("dpr-rsp", 4, 10.0, 1.0): ("4f14641a09f5b8f5", "d8eb1a5f21a8ea3c"),
+    ("dpr-reo", 0, 10.0, 1.0): ("f9ee93acd5e21915", "910970a8841c4e51"),
+    ("dpr-reo", 4, 10.0, 1.0): ("4dfacbffa07c91a7", "ab046a8f9b905c32"),
+    ("dpr-reo", 4, 5.0, 2.0): ("a0969345abb6a972", "b907b200e7ef8b80"),
+}
+
+
+def _pinned_run(kind, layers, alpha, beta, ds, cat):
+    cfg = _small_cfg(
+        kind,
+        epochs=3,
+        pretrain_epochs=1,
+        theta_batches_per_round=2,
+        eval_every=2,
+        adv_layers=layers,
+        weights=_weights(alpha=alpha, beta=beta),
+    )
+    return train(cfg, ds, cat)
+
+
+@pytest.mark.parametrize(
+    "key",
+    list(_PINNED_RUNS),
+    ids=lambda k: f"{k[0]}-h{k[1]}-a{k[2]:g}-b{k[3]:g}",
+)
+def test_trajectory_matches_pinned_digest(synth_dataset, key):
+    ds, cat = synth_dataset
+    res = _pinned_run(*key, ds, cat)
+    assert _trajectory_digests(res) == _PINNED_RUNS[key]
+
+
+def test_zero_alpha_run_matches_pinned_factors(synth_dataset):
+    ds, cat = synth_dataset
+    res = _pinned_run("dpr-reo", 4, 0.0, 10.0, ds, cat)
+    assert _trajectory_digests(res)[0] == "4f2e896b1106aac0"
