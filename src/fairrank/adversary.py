@@ -67,32 +67,72 @@ def init_adversary(num_groups, hidden_layers=4, hidden_width=50, seed=0):
     return AdversaryParams(weights, biases)
 
 
-def _forward(psi, scores):
-    """Returns (activations, pre_acts, probs); activations[0] is the input."""
-    h = np.asarray(scores, dtype=np.float64).reshape(-1, 1)
-    acts = [h]
-    pres = []
-    for w, b in zip(psi.weights[:-1], psi.biases[:-1]):
-        z = h @ w + b
-        pres.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    z_out = h @ psi.weights[-1] + psi.biases[-1]
-    return acts, pres, sigmoid(z_out)
+def _hidden_buffers(psi, n, work):
+    """(activation, ReLU mask) arrays of every hidden layer for n samples.
+
+    The backward pass overwrites each activation with its layer's
+    gradient once the activation has served its weight gradient.  work is
+    a dict the caller owns, keyed by n, that keeps the arrays between
+    calls; one dict serves one adversary's layer shapes.  None allocates
+    fresh arrays.
+    """
+    bufs = None if work is None else work.get(n)
+    if bufs is None:
+        bufs = []
+        for w in psi.weights[:-1]:
+            shape = (n, w.shape[1])
+            bufs.append((np.empty(shape), np.empty(shape, dtype=bool)))
+        if work is not None:
+            work[n] = bufs
+    return bufs
+
+
+def _affine(h, w, b, out=None):
+    # a single input column makes h @ w an outer product: the K = 1 gemm
+    # rounds each entry as the elementwise product does, except that it
+    # gives a zero product the sign +0.0, a difference adding the bias
+    # erases unless the bias entry is -0.0 (Adam from a zero init never
+    # makes one)
+    if h.shape[1] == 1:
+        z = np.multiply(h, w[0], out=out)
+    else:
+        z = np.matmul(h, w, out=out)
+    z += b
+    return z
+
+
+def _forward(psi, h, bufs):
+    """Runs h (B, 1) through the network, leaving each hidden layer's
+    activation and ReLU mask in bufs; returns the output probabilities."""
+    for w, b, (act, mask) in zip(psi.weights, psi.biases, bufs):
+        _affine(h, w, b, out=act)
+        np.greater(act, 0.0, out=mask)
+        np.maximum(act, 0.0, out=act)
+        h = act
+    return sigmoid(_affine(h, psi.weights[-1], psi.biases[-1]))
+
+
+def _as_column(scores):
+    return np.asarray(scores, dtype=np.float64).reshape(-1, 1)
 
 
 def forward_scores(psi, scores):
     """Group probabilities for a batch of scores, shape (B, A)."""
-    return _forward(psi, scores)[2]
+    h = _as_column(scores)
+    return _forward(psi, h, _hidden_buffers(psi, len(h), None))
 
 
-def loglik_and_grads(psi, scores, labels):
-    """Batched log-likelihood with all gradients.
+def loglik_and_grads(psi, scores, labels, param_grads=True, work=None):
+    """Batched log-likelihood with its gradients.
 
     Args:
         psi: AdversaryParams.
         scores: (B,) input scores.
         labels: (B, A) 0/1 group memberships.
+        param_grads: False skips the parameter gradients (the ranker's
+            side needs only d loglik / d score) and returns an empty dict.
+        work: optional dict of reusable per-batch-size buffers (see
+            _hidden_buffers); no returned array shares memory with it.
 
     Returns:
         (ll, grads, d_score): per-sample log-likelihoods (B,); parameter
@@ -100,19 +140,25 @@ def loglik_and_grads(psi, scores, labels):
         d loglik / d score (B,).
     """
     g = np.asarray(labels, dtype=np.float64)
-    acts, pres, probs = _forward(psi, scores)
+    h = _as_column(scores)
+    bufs = _hidden_buffers(psi, len(h), work)
+    probs = _forward(psi, h, bufs)
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     ll = np.sum(g * np.log(p) + (1.0 - g) * np.log1p(-p), axis=1)
+    acts = [h] + [act for act, _ in bufs]
     # sigmoid output + Bernoulli log-likelihood: d ll / d z_out = g - probs
-    dz = g - probs
+    dpre = g - probs
     grads = {}
-    n_layers = len(psi.weights)
-    grads[f"w{n_layers - 1}"] = acts[-1].T @ dz
-    grads[f"b{n_layers - 1}"] = dz.sum(axis=0)
-    dh = dz @ psi.weights[-1].T
-    for idx in range(n_layers - 2, -1, -1):
-        dpre = dh * (pres[idx] > 0.0)
-        grads[f"w{idx}"] = acts[idx].T @ dpre
-        grads[f"b{idx}"] = dpre.sum(axis=0)
-        dh = dpre @ psi.weights[idx].T
-    return ll, grads, dh[:, 0]
+    for idx in range(len(psi.weights) - 1, -1, -1):
+        if param_grads:
+            grads[f"w{idx}"] = acts[idx].T @ dpre
+            grads[f"b{idx}"] = dpre.sum(axis=0)
+        if idx == 0:
+            break
+        dh, mask = bufs[idx - 1]
+        np.matmul(dpre, psi.weights[idx].T, out=dh)
+        # a product, not np.where, so masked entries keep the signed
+        # zeros the allocating pass gave them
+        dh *= mask
+        dpre = dh
+    return ll, grads, (dpre @ psi.weights[0].T)[:, 0]

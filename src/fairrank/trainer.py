@@ -281,7 +281,9 @@ class _Trainer:
         self.psi = None
         self.adam_psi = None
         self.sweep_rng = None
-        if config.kind in _DPR_KINDS:
+        # alpha = 0 keeps the discriminator out of every factor step, so
+        # it is neither built nor trained
+        if config.kind in _DPR_KINDS and config.weights.alpha != 0.0:
             self.psi = adv.init_adversary(
                 catalog.num_groups,
                 config.adv_layers,
@@ -290,6 +292,7 @@ class _Trainer:
             )
             self.adam_psi = AdamState(self.psi.blocks())
             self.sweep_rng = np.random.default_rng(int(seeds[3]))
+        self.adv_work = {}  # discriminator buffers by batch size
         self.G = (
             catalog.memberships.astype(np.float64)
             if catalog is not None
@@ -302,11 +305,8 @@ class _Trainer:
 
     # ---- factor (theta) updates -------------------------------------
 
-    def _theta_update(self, batch, alpha, beta, l2, include_ranking=True):
+    def _theta_update(self, batch, alpha, beta, l2):
         """One descent step on the composite batch objective.
-
-        include_ranking=False restricts the step to the adversary and
-        normalization terms (used to probe the minimax direction).
 
         Returns (pair_loss_mean, kl_value) with kl_value nan when beta == 0.
         """
@@ -327,16 +327,15 @@ class _Trainer:
         s_neg = np.einsum("bd,brd->br", pu, vj)
         losses, g_pos = bpr_pair_loss_batch(s_pos[:, None], s_neg)
         pair_loss = float(losses.mean())
-        total = pair_loss if include_ranking else 0.0
+        total = pair_loss
         scale = 1.0 / (b * r)
         user_parts, item_parts = [], []
-        if include_ranking:
-            du = (g_pos[:, :, None] * (vi[:, None, :] - vj)).sum(axis=1)
-            user_parts.append((u_pos, (du + l2 * r * pu) * scale))
-            di = g_pos.sum(axis=1)[:, None] * pu + l2 * r * vi
-            item_parts.append((i_pos[:b], di * scale))
-            dj = (-g_pos)[:, :, None] * pu[:, None, :] + l2 * vj
-            item_parts.append((i_pos[b:], dj.reshape(-1, dim) * scale))
+        du = (g_pos[:, :, None] * (vi[:, None, :] - vj)).sum(axis=1)
+        user_parts.append((u_pos, (du + l2 * r * pu) * scale))
+        di = g_pos.sum(axis=1)[:, None] * pu + l2 * r * vi
+        item_parts.append((i_pos[:b], di * scale))
+        dj = (-g_pos)[:, :, None] * pu[:, None, :] + l2 * vj
+        item_parts.append((i_pos[b:], dj.reshape(-1, dim) * scale))
         # score terms see the b positives, then the b * r negatives
         s_inst = np.concatenate([s_pos, s_neg.ravel()])
         u_inst = np.concatenate([users, np.repeat(users, r)])
@@ -393,13 +392,15 @@ class _Trainer:
         positives weighted r each, plus the negatives for dpr-rsp."""
         scale = 1.0 / (b * r)
         ll_i, _, dy_i = adv.loglik_and_grads(
-            self.psi, s_inst[:b], self.G[i_inst[:b]]
+            self.psi, s_inst[:b], self.G[i_inst[:b]],
+            param_grads=False, work=self.adv_work,
         )
         value = r * float(ll_i.sum()) * scale
         grads = [(alpha * r * scale) * dy_i]
         if self.cfg.kind == "dpr-rsp":
             ll_j, _, dy_j = adv.loglik_and_grads(
-                self.psi, s_inst[b:], self.G[i_inst[b:]]
+                self.psi, s_inst[b:], self.G[i_inst[b:]],
+                param_grads=False, work=self.adv_work,
             )
             value += float(ll_j.sum()) * scale
             grads.append((alpha * scale) * dy_j)
@@ -440,7 +441,15 @@ class _Trainer:
     # ---- discriminator (psi) sweep ----------------------------------
 
     def _psi_update(self, scores, labels):
-        ll, grads, _ = adv.loglik_and_grads(self.psi, scores, labels)
+        ll, grads, _ = adv.loglik_and_grads(
+            self.psi, scores, labels, work=self.adv_work
+        )
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise TrainingDiverged(
+                    f"discriminator gradient for block '{name}' is not "
+                    "finite; try a smaller lr_adv"
+                )
         # ascend the log-likelihood: descend its negated mean
         scaled = {
             k: (None, -(g / len(scores))) for k, g in grads.items()
@@ -527,7 +536,11 @@ class _Trainer:
             return [(False, full, 0.0, w.beta, l2)] * cfg.epochs
         pretrain = (False, full, 0.0, 0.0, w.lambda_theta)
         rounds = (
-            True, cfg.theta_batches_per_round, w.alpha, w.beta, w.lambda_theta
+            self.psi is not None,
+            cfg.theta_batches_per_round,
+            w.alpha,
+            w.beta,
+            w.lambda_theta,
         )
         return [pretrain] * cfg.pretrain_epochs + [rounds] * cfg.epochs
 

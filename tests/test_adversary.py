@@ -204,15 +204,41 @@ def _oracle_case(layers, groups, n, seed=0):
     return psi, scores, labels
 
 
+def _assert_matches_reference(got, want, param_grads):
+    ll, grads, d_score = got
+    ll_r, grads_r, d_r = want
+    assert _same_bits(ll, ll_r)
+    assert _same_bits(d_score, d_r)
+    if not param_grads:
+        assert grads == {}
+        return
+    assert list(grads) == list(grads_r)
+    for name in grads_r:
+        assert _same_bits(grads[name], grads_r[name]), name
+
+
+def _copies(result):
+    ll, grads, d_score = result
+    return ll.copy(), {k: g.copy() for k, g in grads.items()}, d_score.copy()
+
+
 @pytest.mark.parametrize("layers", [0, 1, 4])
 @pytest.mark.parametrize("groups", [1, 2, 3])
-def test_loglik_matches_reference_bits(layers, groups):
-    for n in (1, 2, 1024, 5120):
+@pytest.mark.parametrize("param_grads", [True, False])
+def test_loglik_matches_reference_bits(layers, groups, param_grads):
+    work = {}  # one workspace across every size, as a trainer keeps it
+    for n in (1, 2, 1024, 5120, 2):
         psi, scores, labels = _oracle_case(layers, groups, n, seed=n)
-        ll_r, grads_r, d_r = ref_loglik_and_grads(psi, scores, labels)
-        ll, grads, d_score = loglik_and_grads(psi, scores, labels)
-        assert _same_bits(ll, ll_r)
-        assert _same_bits(d_score, d_r)
-        assert list(grads) == list(grads_r)
-        for name in grads_r:
-            assert _same_bits(grads[name], grads_r[name]), name
+        want = ref_loglik_and_grads(psi, scores, labels)
+        fresh = loglik_and_grads(psi, scores, labels, param_grads)
+        _assert_matches_reference(fresh, want, param_grads)
+        first = loglik_and_grads(
+            psi, scores, labels, param_grads=param_grads, work=work
+        )
+        kept = _copies(first)
+        _assert_matches_reference(first, want, param_grads)
+        # a second call on the same buffers leaves the first results be
+        other = _oracle_case(layers, groups, n, seed=n + 1)
+        loglik_and_grads(*other, param_grads=param_grads, work=work)
+        _assert_matches_reference(first, kept, param_grads)
+    assert sorted(work) == [1, 2, 1024, 5120]

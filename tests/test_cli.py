@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -110,6 +111,34 @@ def test_train_missing_alpha_fails(corpus_dir, tmp_path, capsys):
                    out_dir=tmp_path / "runs")
     assert main(["train", "--config", ini]) == 1
     assert "alpha required" in capsys.readouterr().err
+
+
+def test_train_diverging_discriminator_is_domain_error(
+    corpus_dir, tmp_path, capsys
+):
+    ini = _exp_ini(tmp_path / "hot.ini", corpus_dir, model="dpr-rsp",
+                   extra_train="alpha = 1.0\nbeta = 0.0\nlr_adv = 1e200\n",
+                   out_dir=tmp_path / "runs")
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", ini]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lr_adv" in err
+
+
+def test_train_zero_alpha_stores_no_adversary(corpus_dir, tmp_path, capsys):
+    ini = _exp_ini(tmp_path / "shape.ini", corpus_dir, model="dpr-reo",
+                   extra_train="alpha = 0.0\nbeta = 1.0\n",
+                   out_dir=tmp_path / "runs")
+    assert main(["train", "--config", ini]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    ckpt = os.path.join(run_dir, "checkpoint")
+    with open(ckpt, "rb") as fh:
+        header = json.loads(fh.readline())
+    assert header["adversary"] is None
+    assert load_checkpoint(ckpt)[1] is None
+    rows = open(os.path.join(run_dir, "trainlog.csv")).read().splitlines()
+    assert len(rows) == 1 + 10 + 2  # header, warm start, rounds
+    assert all(row.split(",")[2] == "" for row in rows[1:])
 
 
 def test_eval_dimension_mismatch(corpus_dir, tmp_path, capsys):

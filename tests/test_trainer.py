@@ -7,6 +7,7 @@ from fairrank import adversary as adv
 from fairrank.data import InteractionDataset, split
 from fairrank.errors import ConfigError, TrainingDiverged
 from fairrank.evaluation import f1_at_k, rank_topk
+from fairrank.mf import adam_step
 from fairrank.objectives import ObjectiveWeights, kl_loss_user
 from fairrank.trainer import (
     EpochRecord,
@@ -276,12 +277,25 @@ def test_minimax_directions(synth_dataset):
         b, r = negs.shape
         return (r * ll_i.sum() + ll_j.sum()) / (b * r)
 
-    # factor step with the ranking term disabled must push the
+    # a factor step on the adversary term alone must push the
     # discriminator's log-likelihood down
     before = adv_term()
-    tr._theta_update(
-        (users, items, negs), alpha=50.0, beta=0.0, l2=0.0,
-        include_ranking=False,
+    b, r = negs.shape
+    p_mat = tr.params.user_factors
+    imat = tr.params.item_factors
+    u_inst = np.concatenate([users, np.repeat(users, r)])
+    i_inst = np.concatenate([items, negs.ravel()])
+    s_inst = (p_mat[u_inst] * imat[i_inst]).sum(axis=1)
+    _, g = tr._theta_adv_term(s_inst, i_inst, b, r, alpha=50.0)
+    g_users = np.zeros_like(p_mat)
+    g_items = np.zeros_like(imat)
+    np.add.at(g_users, u_inst, g[:, None] * imat[i_inst])
+    np.add.at(g_items, i_inst, g[:, None] * p_mat[u_inst])
+    adam_step(
+        tr.adam_theta,
+        tr.theta,
+        {"user_factors": (None, g_users), "item_factors": (None, g_items)},
+        cfg.lr_bpr,
     )
     after = adv_term()
     assert after < before
@@ -404,6 +418,14 @@ def test_divergence_guard(synth_dataset):
     with pytest.raises(TrainingDiverged, match="not finite"):
         with np.errstate(all="ignore"):
             train(cfg, ds)
+
+
+def test_discriminator_divergence_guard(synth_dataset):
+    ds, cat = synth_dataset
+    cfg = _small_cfg("dpr-rsp", epochs=3, lr_adv=1e200)
+    with pytest.raises(TrainingDiverged, match="lr_adv"):
+        with np.errstate(all="ignore"):
+            train(cfg, ds, cat)
 
 
 def test_adversary_collapse_warning(synth_dataset, caplog):
@@ -561,3 +583,7 @@ def test_zero_alpha_run_matches_pinned_factors(synth_dataset):
     ds, cat = synth_dataset
     res = _pinned_run("dpr-reo", 4, 0.0, 10.0, ds, cat)
     assert _trajectory_digests(res)[0] == "4f2e896b1106aac0"
+    # no discriminator is built, swept or stored
+    assert res.adversary is None
+    assert res.adv_samples_per_sweep == 0
+    assert all(np.isnan(r.loss_adv) for r in res.log.records)
