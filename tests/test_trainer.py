@@ -545,7 +545,9 @@ def _trajectory_digests(res):
 
 
 # sha256 prefixes of short runs on the conftest corpus: 1 warm-start epoch,
-# 3 rounds of 2 model batches, validation every 2 epochs
+# 3 rounds of 2 model batches, validation every 2 epochs.  Recorded with
+# the allocating discriminator pass now in tests/oracles.py, on numpy 2.4
+# with OpenBLAS 0.3.31; another BLAS may round some sums differently.
 _PINNED_RUNS = {
     ("dpr-rsp", 0, 10.0, 1.0): ("de0242c6c00b4920", "eb1c10db98841ea7"),
     ("dpr-rsp", 4, 10.0, 1.0): ("4f14641a09f5b8f5", "d8eb1a5f21a8ea3c"),
