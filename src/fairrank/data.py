@@ -244,13 +244,15 @@ def split(raw, ratios=DEFAULT_RATIOS, seed=0):
         raise ConfigError(f"ratios: must sum to 1, got {sum(ratios)}")
     rng = np.random.default_rng(seed)
     n_users, n_items = raw.num_users, raw.num_items
-    per_user = [[] for _ in range(n_users)]
-    for u, i in raw.pairs:
-        per_user[u].append(i)
+    # each user's items in file order, which the stable sort keeps
+    users = raw.pairs[:, 0]
+    grouped = raw.pairs[np.argsort(users, kind="stable"), 1].astype(np.int64)
+    ends = np.cumsum(np.bincount(users, minlength=n_users))
+    per_user = np.split(grouped, ends[:-1])
     train, val, test = [], [], []
     dropped = 0
     for u in range(n_users):
-        items = np.array(per_user[u], dtype=np.int64)
+        items = per_user[u]
         perm = rng.permutation(len(items))
         items = items[perm]
         # floor with epsilon so exact fractional products do not round down

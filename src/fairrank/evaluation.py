@@ -42,8 +42,11 @@ class RankingResult:
         return [row[:n] for row, n in zip(self.items, self.lengths)]
 
 
-def _score_matrix(params, users=slice(None)):
-    return params.user_factors[users] @ params.item_matrix().T
+def _score_matrix(params, users=slice(None), out=None):
+    """``users``' scores, in the leading rows of ``out`` when given."""
+    u = params.user_factors[users]
+    rows = None if out is None else out[: len(u)]
+    return np.matmul(u, params.item_matrix().T, out=rows)
 
 
 def _blocks(n):
@@ -59,7 +62,27 @@ def _set_pairs(block, lo, hi, users, items, value):
     block[users[s:e] - lo, items[s:e]] = value
 
 
-def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN):
+def _get_pairs(block, lo, hi, users, items, out):
+    """Copy users lo..hi-1's pairs into their slots of ``out``, which runs
+    parallel to the user-major (users, items) arrays."""
+    s, e = np.searchsorted(users, (lo, hi))
+    out[s:e] = block[users[s:e] - lo, items[s:e]]
+
+
+def _block_buffer(dataset):
+    """Room for the largest block's scores (a merged tail adds one row)."""
+    return np.empty((min(dataset.num_users, BLOCK_ROWS + 1), dataset.num_items))
+
+
+def _train_nan_blocks(params, dataset, buf):
+    """(lo, hi, scores) per block, scored into ``buf``, NaN on training pairs."""
+    for lo, hi in _blocks(dataset.num_users):
+        block = _score_matrix(params, slice(lo, hi), out=buf)
+        _set_pairs(block, lo, hi, dataset.pos_users, dataset.pos_items, np.nan)
+        yield lo, hi, block
+
+
+def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     """Top-k items per user, excluded items masked out.
 
     Args:
@@ -67,6 +90,10 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN):
         dataset: InteractionDataset matching the model dimensions.
         k: list length, >= 1.
         exclude: "train" or "train+val"; masked items never appear.
+        on_block: optional ``on_block(lo, hi, scores)``, called once per
+            block with users lo..hi-1's (hi - lo, M) scores, training pairs
+            NaN, before any masking.  It must only read: ``scores`` is a
+            reused buffer that the next block overwrites.
 
     Returns:
         RankingResult.  Ordering is score descending, item id ascending on
@@ -93,16 +120,27 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN):
     depth = min(k, dataset.num_items) - 1
     items = np.full((n, depth + 1), -1, dtype=np.int64)
     lengths = np.empty(n, dtype=np.int64)
-    for lo, hi in _blocks(n):
-        neg = _score_matrix(params, slice(lo, hi))
+    buf = _block_buffer(dataset)
+    work = np.empty_like(buf)
+    for lo, hi, scores in _train_nan_blocks(params, dataset, buf):
+        if on_block is not None:
+            on_block(lo, hi, scores)
         for users, cols in masked:
-            _set_pairs(neg, lo, hi, users, cols, -np.inf)
-        lengths[lo:hi] = take = np.minimum(np.isfinite(neg).sum(axis=1), k)
-        np.negative(neg, out=neg)
-        # partition sorts NaN last, like the -score key of a full sort
-        kth = np.partition(neg, depth, axis=1)[:, depth]
-        rows, cols = np.nonzero(neg <= np.nan_to_num(kth, nan=np.inf)[:, None])
-        order = np.lexsort((cols, neg[rows, cols], rows))
+            _set_pairs(scores, lo, hi, users, cols, -np.inf)
+        # the key is -score; partition sorts NaN last, like a full sort
+        part = np.negative(scores, out=work[: hi - lo])
+        part.partition(depth, axis=1)
+        # rows whose depth + 1 smallest keys are finite have a full list;
+        # only the others need their finite scores counted
+        take = np.full(hi - lo, depth + 1)
+        few = ~np.isfinite(part[:, : depth + 1]).all(axis=1)
+        take[few] = np.minimum(np.isfinite(scores[few]).sum(axis=1), k)
+        lengths[lo:hi] = take
+        kth = np.nan_to_num(part[:, depth], nan=np.inf)
+        # key <= kth, with both sides negated; flat indices are C order
+        hit = np.flatnonzero(scores >= -kth[:, None])
+        rows, cols = np.divmod(hit, dataset.num_items)
+        order = np.lexsort((cols, -scores[rows, cols], rows))
         cols = cols[order]  # rows, the first key, is already sorted
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
         keep = rank < take[rows]
@@ -284,14 +322,95 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0, bins=JS_BINS):
         clash = us == vs
     # u != v, so at least two rows are scored: never a gemv row
     users = np.unique(np.concatenate((us, vs)))
-    reps = {
-        u: np.delete(row, dataset.train_pos[u])
-        for u, row in zip(users.tolist(), _score_matrix(params, users))
-    }
+    full = users[dataset.train_sizes[users] >= dataset.num_items]
+    if len(full):
+        raise DataError(
+            f"user_divergence: user {int(full[0])} has no non-training items"
+        )
+    rows = dict(zip(users.tolist(), _score_matrix(params, users)))
+
+    def rep(u):
+        # made per pair: a copy of every row at once would double the peak
+        return np.delete(rows[u], dataset.train_pos[u])
+
     total = 0.0
     for u, v in zip(us.tolist(), vs.tolist()):
-        total += js_divergence(reps[u], reps[v], bins=bins)
+        total += js_divergence(rep(u), rep(v), bins=bins)
     return total / sample_pairs
+
+
+def _group_members(catalog, items=slice(None)):
+    """Per group, the positions in ``items`` (default: every item) of the
+    items in that group."""
+    in_group = catalog.memberships.astype(bool)[items]
+    return [np.flatnonzero(in_group[:, a]) for a in range(catalog.num_groups)]
+
+
+class _GroupJS:
+    """Mean pairwise JS divergence between per-group score samples, fed a
+    block at a time; ``cols[a]`` picks group a's columns of every block.
+
+    Blocks are read twice: by ``widen`` for each group's min and max (NaN
+    skipped), then by ``divergence`` for histogram counts over each group
+    pair's joint range; the bin rule is per value, so counts add up.
+    """
+
+    def __init__(self, cols, catalog, mode, bins=JS_BINS):
+        self.cols = cols
+        self.names = catalog.group_names
+        self.mode = mode
+        self.bins = bins
+        self.lo = np.full(len(cols), np.inf)
+        self.hi = np.full(len(cols), -np.inf)
+
+    def widen(self, x):
+        x_lo = np.fmin.reduce(x, axis=0, initial=np.inf)
+        x_hi = np.fmax.reduce(x, axis=0, initial=-np.inf)
+        for a, c in enumerate(self.cols):
+            self.lo[a] = np.fmin.reduce(x_lo[c], initial=self.lo[a])
+            self.hi[a] = np.fmax.reduce(x_hi[c], initial=self.hi[a])
+
+    def divergence(self, blocks, rows):
+        """JS mean over a second read of the widened blocks, each at most
+        ``rows`` rows."""
+        if len(self.cols) < 2:
+            raise DataError("group_divergence: need at least two groups")
+        lo, hi = self.lo, self.hi
+        if (lo > hi).any():
+            bad = self.names[int(np.argmax(lo > hi))]
+            raise DataError(f"group '{bad}' has no scores in mode '{self.mode}'")
+        n = len(self.cols)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
+        counts = {(a, r): 0 for p, r in zip(pairs, ranges) for a in p}
+        work = np.empty(rows * max(len(c) for c in self.cols))
+        own = [[r for b, r in counts if b == a] for a in range(n)]
+        for x in blocks:
+            for a, c in enumerate(self.cols):
+                part = work[: len(x) * len(c)].reshape(len(x), len(c))
+                # with out=, mode="raise" would copy through a bounce buffer
+                np.take(x, c, axis=1, out=part, mode="clip")
+                for r in own[a]:
+                    counts[a, r] += np.histogram(part, self.bins, r)[0]
+        js = [
+            0.0 if r[0] == r[1] else _js_from_counts(counts[a, r], counts[b, r])
+            for (a, b), r in zip(pairs, ranges)
+        ]
+        return sum(js) / len(js)
+
+
+def _all_divergence(js, params, dataset, buf):
+    """Finish mode "all" once ``js`` has widened over every block: score
+    each block into ``buf`` again, for the counts."""
+    blocks = (block for _, _, block in _train_nan_blocks(params, dataset, buf))
+    return js.divergence(blocks, len(buf))
+
+
+def _positive_divergence(scores, items, catalog, bins=JS_BINS):
+    """Mode "positive" from the test pairs' ``scores`` and ``items``."""
+    js = _GroupJS(_group_members(catalog, items), catalog, "positive", bins)
+    js.widen(scores[None])
+    return js.divergence([scores[None]], 1)
 
 
 def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
@@ -299,59 +418,21 @@ def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
 
     mode "all": each group is represented by the scores of every (user,
     item) pair with the item in the group and outside the user's training
-    positives.  mode "positive": only test-set pairs.  Blocks are read
-    twice: for each group's min and max, then for histogram counts over each
-    group pair's range; the bin rule is per value, so counts add up.
+    positives.  mode "positive": only test-set pairs.
     """
     if mode not in ("all", "positive"):
         raise ValueError(f"mode: unknown '{mode}'")
-    a_groups = catalog.num_groups
-    if a_groups < 2:
-        raise DataError("group_divergence: need at least two groups")
-    member = catalog.memberships.astype(bool)
-    group_cols = [np.flatnonzero(member[:, a]) for a in range(a_groups)]
-    users, items = _flatten(dataset.train_pos if mode == "all" else dataset.test_pos)
-
-    def passes():
-        """Per block: scores, NaN where excluded, and each group's columns."""
-        for lo, hi in _blocks(dataset.num_users):
-            block = _score_matrix(params, slice(lo, hi))
-            if mode == "all":
-                # fmin/fmax skip NaN; a histogram with a range drops it
-                _set_pairs(block, lo, hi, users, items, np.nan)
-                yield block, group_cols
-            else:
-                s, e = np.searchsorted(users, (lo, hi))
-                in_group = member[items[s:e]]
-                yield block[users[s:e] - lo, items[s:e]][None], [
-                    np.flatnonzero(in_group[:, a]) for a in range(a_groups)
-                ]
-
-    if mode == "positive":
-        kept = list(passes())  # test pairs are few: score them once
-        passes = lambda: kept  # noqa: E731
-    lo, hi = np.full(a_groups, np.inf), np.full(a_groups, -np.inf)
-    for x, cols in passes():
-        x_lo = np.fmin.reduce(x, axis=0, initial=np.inf)
-        x_hi = np.fmax.reduce(x, axis=0, initial=-np.inf)
-        for a, c in enumerate(cols):
-            lo[a] = np.fmin.reduce(x_lo[c], initial=lo[a])
-            hi[a] = np.fmax.reduce(x_hi[c], initial=hi[a])
-    if (lo > hi).any():
-        bad = catalog.group_names[int(np.argmax(lo > hi))]
-        raise DataError(f"group '{bad}' has no scores in mode '{mode}'")
-    pairs = [(a, b) for a in range(a_groups) for b in range(a + 1, a_groups)]
-    ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
-    counts = {(a, r): 0 for p, r in zip(pairs, ranges) for a in p}
-    for x, cols in passes():
-        parts = [x.take(c, axis=1) for c in cols]
-        for a, r in counts:
-            counts[a, r] = counts[a, r] + np.histogram(parts[a], bins, r)[0]
-    js = [
-        0.0 if r[0] == r[1] else _js_from_counts(counts[a, r], counts[b, r])
-        for (a, b), r in zip(pairs, ranges)
-    ]
-    return sum(js) / len(js)
+    buf = _block_buffer(dataset)
+    if mode == "all":
+        js = _GroupJS(_group_members(catalog), catalog, mode, bins)
+        for _, _, block in _train_nan_blocks(params, dataset, buf):
+            js.widen(block)
+        return _all_divergence(js, params, dataset, buf)
+    users, items = _flatten(dataset.test_pos)
+    scores = np.empty(len(items))
+    for lo, hi, block in _train_nan_blocks(params, dataset, buf):
+        _get_pairs(block, lo, hi, users, items, scores)
+    return _positive_divergence(scores, items, catalog, bins)
 
 
 def group_ratio_stats(catalog, pairs):
@@ -464,7 +545,22 @@ def evaluate_model(
 ):
     """Full evaluation of a trained model into a FairnessReport."""
     ks = sorted(int(k) for k in ks)
-    ranking = rank_topk(params, dataset, max(ks), exclude=exclude)
+    # the ranking's blocks also feed mode "all"'s ranges and the test-pair
+    # scores; only mode "all"'s counts need a second pass
+    js_all = _GroupJS(_group_members(catalog), catalog, "all")
+    test_users, test_items = _flatten(dataset.test_pos)
+    test_scores = np.empty(len(test_items))
+    largest = []
+
+    def on_block(lo, hi, scores):
+        js_all.widen(scores)
+        _get_pairs(scores, lo, hi, test_users, test_items, test_scores)
+        if not largest or len(scores) > len(largest[0]):
+            largest[:] = [scores]  # the second pass reuses its buffer
+
+    ranking = rank_topk(
+        params, dataset, max(ks), exclude=exclude, on_block=on_block
+    )
     rsp = {k: prob_rsp(ranking, dataset, catalog, k=k) for k in ks}
     reo = {k: prob_reo(ranking, dataset, catalog, k=k) for k in ks}
     pairs = [
@@ -487,10 +583,8 @@ def evaluate_model(
         js_user=user_divergence(
             params, dataset, sample_pairs=js_user_pairs, seed=js_seed
         ),
-        js_group_all=group_divergence(params, dataset, catalog, mode="all"),
-        js_group_pos=group_divergence(
-            params, dataset, catalog, mode="positive"
-        ),
+        js_group_all=_all_divergence(js_all, params, dataset, largest[0]),
+        js_group_pos=_positive_divergence(test_scores, test_items, catalog),
         group_item_counts=[int(x) for x in item_counts],
         group_feedback_counts=[int(x) for x in feedback],
         group_ratios=[float(x) for x in ratios],

@@ -395,6 +395,47 @@ def reference_evaluate_model(
     )
 
 
+# ---- split: the per-row Python grouping ------------------------------------
+
+
+def ref_split(raw, ratios=(0.6, 0.2, 0.2), seed=0):
+    """data.split as it grouped pairs with a loop over raw.pairs."""
+    from fairrank.data import InteractionDataset
+    from fairrank.errors import ConfigError
+
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise ConfigError("ratios: need three non-negative fractions")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios: must sum to 1, got {sum(ratios)}")
+    rng = np.random.default_rng(seed)
+    n_users, n_items = raw.num_users, raw.num_items
+    per_user = [[] for _ in range(n_users)]
+    for u, i in raw.pairs:
+        per_user[u].append(i)
+    train, val, test = [], [], []
+    dropped = 0
+    for u in range(n_users):
+        items = np.array(per_user[u], dtype=np.int64)
+        perm = rng.permutation(len(items))
+        items = items[perm]
+        # floor with epsilon so exact fractional products do not round down
+        n_val = int(len(items) * ratios[1] + 1e-9)
+        n_test = int(len(items) * ratios[2] + 1e-9)
+        n_train = len(items) - n_val - n_test
+        if n_train == 0:
+            dropped += 1
+            train.append(np.empty(0, dtype=np.int64))
+            val.append(np.empty(0, dtype=np.int64))
+            test.append(np.empty(0, dtype=np.int64))
+            continue
+        train.append(np.sort(items[:n_train]))
+        val.append(np.sort(items[n_train : n_train + n_val]))
+        test.append(np.sort(items[n_train + n_val :]))
+    return InteractionDataset(
+        n_users, n_items, train, val, test, raw.user_index, raw.item_index
+    )
+
+
 # ---- discriminator: the allocating forward/backward pass -----------------
 
 

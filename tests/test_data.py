@@ -12,6 +12,7 @@ from fairrank.errors import ConfigError, DataError
 from fairrank.trainer import TrainConfig, _sample_neg_matrix
 
 from conftest import DATA_DIR, make_synth
+from oracles import ref_split
 
 
 def test_load_interactions_dedup_and_first_seen(small_raw):
@@ -155,6 +156,25 @@ def test_split_drops_zero_train_users(small_raw, caplog):
     ]
     assert dropped  # bob, carol (2 items), maybe others
     assert any("dropped" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("ratios", [(0.6, 0.2, 0.2), (0.0, 0.5, 0.5)])
+@pytest.mark.parametrize("corpus", ["small", "synth"])
+def test_split_matches_reference_grouping(corpus, ratios, seed, small_raw):
+    # generate_synthetic lists pairs user by user; shuffled rows interleave
+    # the users, so only a stable grouping keeps each user's file order
+    raw = small_raw
+    if corpus == "synth":
+        raw, _ = make_synth(num_users=90, num_items=50, seed=seed)
+        order = np.random.default_rng(seed).permutation(len(raw.pairs))
+        raw.pairs = raw.pairs[order]
+    got = split(raw, ratios=ratios, seed=seed)
+    want = ref_split(raw, ratios=ratios, seed=seed)
+    for name in ("train_pos", "val_pos", "test_pos"):
+        for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert (got.user_index, got.item_index) == (want.user_index, want.item_index)
 
 
 def test_membership_helpers(small_raw):

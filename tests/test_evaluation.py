@@ -28,6 +28,7 @@ from fairrank.evaluation import (
 )
 from fairrank.mf import MfParams, init_params
 
+import oracles
 from conftest import random_catalog, random_dataset
 from oracles import (
     brute_f1,
@@ -469,3 +470,113 @@ def test_evaluate_model_matches_reference_bytes(
         assert [l.tolist() for l in ranking.lists] == [
             l.tolist() for l in ref_rank_topk(params, ds, 15, exclude).lists
         ], name
+
+
+_BLOCKS = [2, 3, 64, "n", "n-1"]
+
+
+def _block_rows(block, n):
+    return {"n": n, "n-1": n - 1}.get(block, block)
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_evaluate_model_scores_each_block_twice(block, monkeypatch):
+    # one pass feeds the ranking, mode "all"'s ranges and the test pairs;
+    # the second counts mode "all"'s histograms; user_divergence adds one
+    ds, cat = _IDENTITY_CORPORA["3groups"]
+    monkeypatch.setattr(
+        evaluation, "BLOCK_ROWS", _block_rows(block, ds.num_users)
+    )
+    calls = []
+    score = evaluation._score_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_score_matrix", counted)
+    params = _identity_models(ds)["random"]
+    evaluate_model(params, ds, cat, js_user_pairs=50)
+    assert len(calls) == 2 * len(list(evaluation._blocks(ds.num_users))) + 1
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_rank_topk_on_block_sees_unmasked_scores(block, monkeypatch):
+    ds, _ = _IDENTITY_CORPORA["3groups"]
+    n = ds.num_users
+    monkeypatch.setattr(evaluation, "BLOCK_ROWS", _block_rows(block, n))
+    params = _identity_models(ds)["random"]
+    seen = []
+    got = rank_topk(
+        params, ds, 15, exclude="train+val",
+        on_block=lambda lo, hi, scores: seen.append((lo, hi, scores.copy())),
+    )
+    assert [lo for lo, _, _ in seen] == [0] + [hi for _, hi, _ in seen[:-1]]
+    assert seen[-1][1] == n
+    for lo, hi, scores in seen:
+        want = evaluation._score_matrix(params, slice(lo, hi))
+        train = np.zeros(want.shape, dtype=bool)
+        for u in range(lo, hi):
+            train[u - lo, ds.train_pos[u]] = True
+        assert np.isnan(scores[train]).all()
+        assert np.array_equal(scores[~train], want[~train])
+    plain = rank_topk(params, ds, 15, exclude="train+val")
+    assert np.array_equal(got.items, plain.items)
+    assert np.array_equal(got.lengths, plain.lengths)
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
+def test_group_divergence_equals_evaluate_model(corpus, block, monkeypatch):
+    ds, cat = _IDENTITY_CORPORA[corpus]
+    monkeypatch.setattr(
+        evaluation, "BLOCK_ROWS", _block_rows(block, ds.num_users)
+    )
+    for params in _identity_models(ds).values():
+        report = evaluate_model(params, ds, cat, js_user_pairs=20)
+        assert group_divergence(params, ds, cat, "all") == report.js_group_all
+        assert (
+            group_divergence(params, ds, cat, "positive") == report.js_group_pos
+        )
+
+
+def test_rank_topk_non_finite_scores_match_reference(monkeypatch):
+    # +inf scores sort first, -inf and NaN are never ranked: a list can end
+    # short of k although the catalogue has room
+    rng = np.random.default_rng(9)
+    n, m = 23, 9
+    table = np.round(rng.normal(size=(n, m)), 1)
+    r = rng.random((n, m))
+    table[r < 0.15] = np.inf
+    table[(r >= 0.15) & (r < 0.3)] = -np.inf
+    table[(r >= 0.3) & (r < 0.45)] = np.nan
+
+    def scores(params, users=slice(None), out=None):
+        rows = table[users]
+        if out is None:
+            return rows.copy()
+        out[: len(rows)] = rows
+        return out[: len(rows)]
+
+    monkeypatch.setattr(evaluation, "_score_matrix", scores)
+    monkeypatch.setattr(oracles, "_ref_score_matrix", scores)
+    ds = random_dataset(rng, n, m, max_pos=4)
+    params = init_params(n, m, 2, seed=0)
+    for rows in (2, 3, 64):
+        monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
+        for k in (1, 4, 15):
+            for exclude in ("train", "train+val"):
+                got = rank_topk(params, ds, k, exclude=exclude)
+                want = ref_rank_topk(params, ds, k, exclude)
+                assert [l.tolist() for l in got.lists] == [
+                    l.tolist() for l in want.lists
+                ], (rows, k, exclude)
+
+
+def test_user_divergence_user_without_eligible_items():
+    # user 0 trained on the whole catalogue: no score sample to compare
+    train = [np.arange(5)] + [np.array([u % 5]) for u in range(1, 6)]
+    ds = _dataset(6, 5, train)
+    params = init_params(6, 5, 3, seed=0)
+    with pytest.raises(DataError, match="^user_divergence: user 0 has no"):
+        user_divergence(params, ds, sample_pairs=100, seed=0)
