@@ -483,3 +483,53 @@ def ref_loglik_and_grads(psi, scores, labels):
         grads[f"b{idx}"] = dpre.sum(axis=0)
         dh = dpre @ psi.weights[idx].T
     return ll, grads, dh[:, 0]
+
+
+# ---- the theta step's Adam and negative sampler, as first written -----------
+
+
+def ref_adam_step(state, blocks, grads, lr):
+    """mf.adam_step with a fancy-index gather and scatter per moment."""
+    from fairrank.mf import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, (rows, g) in grads.items():
+        g = np.asarray(g, dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient for block '{name}'")
+        sel = slice(None) if rows is None else rows
+        k = t - state.last[name][sel]
+        d1 = ADAM_BETA1 ** k
+        d2 = ADAM_BETA2 ** k
+        while d1.ndim < g.ndim:
+            d1 = d1[..., None]
+            d2 = d2[..., None]
+        m = state.m[name]
+        v = state.v[name]
+        m[sel] = d1 * m[sel] + (1.0 - ADAM_BETA1) * g
+        v[sel] = d2 * v[sel] + (1.0 - ADAM_BETA2) * g * g
+        state.last[name][sel] = t
+        mhat = m[sel] / bc1
+        vhat = v[sel] / bc2
+        blocks[name][sel] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def ref_sample_neg_matrix(dataset, users, count, rng):
+    """trainer._sample_neg_matrix re-querying every draw each round."""
+    from fairrank.errors import DataError
+
+    m = dataset.num_items
+    uniq = np.unique(users)
+    if (dataset.train_sizes[uniq] >= m).any():
+        full = int(uniq[dataset.train_sizes[uniq] >= m][0])
+        raise DataError(f"user {full} has no candidate negative items")
+    out = rng.integers(0, m, size=(len(users), count))
+    rep_users = np.repeat(users, count)
+    bad = dataset.in_train(rep_users, out.ravel()).reshape(out.shape)
+    while bad.any():
+        out[bad] = rng.integers(0, m, size=int(bad.sum()))
+        bad = dataset.in_train(rep_users, out.ravel()).reshape(out.shape)
+    return out

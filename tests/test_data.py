@@ -12,7 +12,7 @@ from fairrank.errors import ConfigError, DataError
 from fairrank.trainer import TrainConfig, _sample_neg_matrix
 
 from conftest import DATA_DIR, make_synth
-from oracles import ref_split
+from oracles import ref_sample_neg_matrix, ref_split
 
 
 def test_load_interactions_dedup_and_first_seen(small_raw):
@@ -219,6 +219,50 @@ def test_sample_negatives_exhausted():
                             [[]] * 2)
     with pytest.raises(DataError, match="user 0 has no candidate negative"):
         _sample_neg_matrix(ds, np.array([1, 0]), 1, np.random.default_rng(1))
+
+
+def _dense_corpus(num_users=40, num_items=30, seed=0):
+    """Every user has trained on 24 to 29 of the 30 items, so most uniform
+    draws are rejected and the sampler redraws for many rounds."""
+    from fairrank.data import InteractionDataset
+
+    rng = np.random.default_rng(seed)
+    train = [
+        np.sort(rng.choice(num_items, size=int(n), replace=False))
+        for n in rng.integers(24, num_items, size=num_users)
+    ]
+    empty = [np.empty(0, dtype=np.int64)] * num_users
+    return InteractionDataset(num_users, num_items, train, empty, empty)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_sample_negatives_match_reference_stream(count):
+    ds = _dense_corpus()
+    users = np.random.default_rng(3).integers(0, ds.num_users, size=200)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(3):  # successive batches share one stream
+        negs = _sample_neg_matrix(ds, users, count, rng)
+        ref = ref_sample_neg_matrix(ds, users, count, ref_rng)
+        assert negs.dtype == ref.dtype
+        assert np.array_equal(negs, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert not ds.in_train(np.repeat(users, count), negs.ravel()).any()
+
+
+def test_sample_negatives_exhausted_names_smallest_user():
+    from fairrank.data import InteractionDataset
+
+    full = np.arange(4)
+    train = [np.array([0]), full, np.array([2]), full, np.array([1, 3])]
+    empty = [np.empty(0, dtype=np.int64)] * 5
+    ds = InteractionDataset(5, 4, train, empty, empty)
+    users = np.array([4, 3, 0, 1, 3])
+    with pytest.raises(DataError) as ref_err:
+        ref_sample_neg_matrix(ds, users, 2, np.random.default_rng(0))
+    with pytest.raises(DataError) as err:
+        _sample_neg_matrix(ds, users, 2, np.random.default_rng(0))
+    assert str(err.value) == str(ref_err.value)
+    assert str(err.value) == "user 1 has no candidate negative items"
 
 
 def test_synthetic_shapes_and_blocks():

@@ -21,6 +21,7 @@ from fairrank.mf import (
 )
 
 from conftest import DATA_DIR
+from oracles import ref_adam_step
 
 
 def test_init_shapes_and_distribution():
@@ -147,6 +148,119 @@ def test_adam_rejects_non_finite():
     g = np.array([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="non-finite gradient for block 'w'"):
         adam_step(state, {"w": w}, {"w": (None, g)}, lr=0.1)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _adam_twins(make_blocks):
+    """Two independent (blocks, AdamState) pairs over equal arrays."""
+    out = []
+    for _ in range(2):
+        blocks = make_blocks()
+        out.append((blocks, AdamState(blocks)))
+    return out
+
+
+def _check_adam_against_reference(make_blocks, updates, lr):
+    (blocks, state), (ref_blocks, ref_state) = _adam_twins(make_blocks)
+    for grads in updates:
+        adam_step(state, blocks, grads, lr)
+        ref_adam_step(ref_state, ref_blocks, grads, lr)
+        for name in blocks:
+            assert _same_bytes(blocks[name], ref_blocks[name]), name
+            assert _same_bytes(state.m[name], ref_state.m[name]), name
+            assert _same_bytes(state.v[name], ref_state.v[name]), name
+            assert _same_bytes(state.last[name], ref_state.last[name]), name
+    return blocks
+
+
+def _row_updates(rng, n_rows, n_cols, steps, key="w", dense_every=0):
+    """Sparse steps over random row subsets, so each row's last-touched
+    step differs from its neighbours'; every ``dense_every``-th step is
+    dense."""
+    updates = []
+    for step in range(steps):
+        if dense_every and step % dense_every == dense_every - 1:
+            rows = None
+            g = rng.normal(size=(n_rows, n_cols))
+        else:
+            rows = np.unique(rng.integers(0, n_rows, size=n_rows // 3))
+            g = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=(len(rows), n_cols))
+        updates.append({key: (rows, g)})
+    return updates
+
+
+def test_adam_dense_matches_reference_bytes():
+    rng = np.random.default_rng(5)
+    updates = [{"w": (None, rng.normal(size=(7, 3)))} for _ in range(20)]
+    _check_adam_against_reference(
+        lambda: {"w": np.random.default_rng(1).normal(size=(7, 3))},
+        updates,
+        lr=0.01,
+    )
+
+
+def test_adam_row_subsets_match_reference_bytes():
+    rng = np.random.default_rng(6)
+    updates = _row_updates(rng, 40, 5, 80, dense_every=9)
+    # two blocks in one step, as the theta step sends users and items
+    for i, up in enumerate(_row_updates(rng, 25, 5, 80, key="u")):
+        updates[i].update(up)
+    _check_adam_against_reference(
+        lambda: {
+            "w": np.random.default_rng(2).normal(size=(40, 5)),
+            "u": np.random.default_rng(3).normal(size=(25, 5)),
+        },
+        updates,
+        lr=0.05,
+    )
+
+
+def test_adam_non_contiguous_view_matches_reference_bytes():
+    # FATR trains item_factors[:, :n_free] and leaves the last columns be
+    n_items, dim, n_free = 30, 6, 4
+    bases = []
+
+    def make_blocks():
+        base = np.random.default_rng(4).normal(size=(n_items, dim))
+        bases.append(base)
+        return {"item_factors": base[:, :n_free]}
+
+    rng = np.random.default_rng(7)
+    updates = _row_updates(
+        rng, n_items, n_free, 50, key="item_factors", dense_every=4
+    )
+    _check_adam_against_reference(make_blocks, updates, lr=0.02)
+    assert not bases[0][:, :n_free].flags.c_contiguous
+    assert _same_bytes(bases[0], bases[1])
+    frozen = np.random.default_rng(4).normal(size=(n_items, dim))[:, n_free:]
+    assert _same_bytes(np.ascontiguousarray(bases[0][:, n_free:]), frozen)
+
+
+def test_adam_psi_blocks_match_reference_bytes():
+    rng = np.random.default_rng(8)
+    template = init_adversary(2, 3, 6, seed=0).blocks()
+    updates = [
+        {k: (None, rng.normal(size=a.shape)) for k, a in template.items()}
+        for _ in range(25)
+    ]
+    _check_adam_against_reference(
+        lambda: init_adversary(2, 3, 6, seed=0).blocks(), updates, lr=0.005
+    )
+
+
+def test_adam_non_finite_leaves_reference_state():
+    # the check runs before the block it guards is touched
+    w = np.ones((3, 2))
+    state = AdamState({"w": w})
+    g = np.zeros((2, 2))
+    g[1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite gradient for block 'w'"):
+        adam_step(state, {"w": w}, {"w": (np.array([0, 2]), g)}, lr=0.1)
+    assert (w == 1.0).all() and (state.m["w"] == 0.0).all()
+    assert (state.last["w"] == 0).all()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -581,6 +581,37 @@ def test_trajectory_matches_pinned_digest(synth_dataset, key):
     assert _trajectory_digests(res) == _PINNED_RUNS[key]
 
 
+# the same digests for the kinds without a discriminator: 3 epochs of
+# 4 batches (the last one holds 192 of 256 positives), validation every 2.
+# Recorded with the theta step's Adam and negative sampler now in
+# tests/oracles.py, on numpy 2.4 with OpenBLAS 0.3.31.
+_PINNED_PLAIN_RUNS = {
+    ("bpr", 0.0, None): "9248b2a8b717cbd0",
+    ("fatr", 1.0, 1.0): "acfcf069c0fdf6e2",
+    ("fatr", 0.0, 5.0): "46639338a1cb7cc8",
+    ("reg-rsp", 1.0, 10.0): "b9acf75e99197b46",
+    ("reg-reo", 0.5, 10.0): "a684592286914cb4",
+}
+
+
+@pytest.mark.parametrize(
+    "key",
+    list(_PINNED_PLAIN_RUNS),
+    ids=lambda k: f"{k[0]}-b{k[1]:g}-l{k[2] or 0:g}",
+)
+def test_plain_trajectory_matches_pinned_digest(synth_dataset, key):
+    ds, cat = synth_dataset
+    kind, beta, lambda_model = key
+    weights = (
+        _weights()
+        if kind == "bpr"
+        else _weights(beta=beta, lambda_model=lambda_model)
+    )
+    cfg = _small_cfg(kind, epochs=3, eval_every=2, weights=weights)
+    res = train(cfg, ds, None if kind == "bpr" else cat)
+    assert _trajectory_digests(res) == (_PINNED_PLAIN_RUNS[key], None)
+
+
 def test_zero_alpha_run_matches_pinned_factors(synth_dataset):
     ds, cat = synth_dataset
     res = _pinned_run("dpr-reo", 4, 0.0, 10.0, ds, cat)
