@@ -176,7 +176,9 @@ class InteractionDataset:
 
     The three lists partition each user's positives.  Sorted per-user arrays
     keep membership queries logarithmic; encoded pair codes support bulk
-    lookups.
+    lookups.  Each split is also held flattened, user-major: ``pos_users``/
+    ``pos_items`` (train), ``val_users``/``val_items`` and ``test_users``/
+    ``test_items``.
     """
 
     num_users: int
@@ -194,9 +196,11 @@ class InteractionDataset:
         )
         # enumeration order: user ascending, item ascending within user
         self.pos_users, self.pos_items = _flatten(self.train_pos)
+        self.val_users, self.val_items = _flatten(self.val_pos)
+        self.test_users, self.test_items = _flatten(self.test_pos)
         self._train_codes = np.sort(self.pos_users * m + self.pos_items)
-        test_users, test_items = _flatten(self.test_pos)
-        self._test_codes = np.sort(test_users * m + test_items)
+        self._val_codes = np.sort(self.val_users * m + self.val_items)
+        self._test_codes = np.sort(self.test_users * m + self.test_items)
 
     @property
     def num_train_pairs(self):
@@ -216,6 +220,10 @@ class InteractionDataset:
     def in_train(self, users, items):
         """Vectorized membership test against training positives."""
         return self._member(self._train_codes, users, items)
+
+    def in_val(self, users, items):
+        """Vectorized membership test against validation positives."""
+        return self._member(self._val_codes, users, items)
 
     def in_test(self, users, items):
         """Vectorized membership test against test positives."""

@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _flatten
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -115,7 +114,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
         )
     masked = [(dataset.pos_users, dataset.pos_items)]
     if exclude == EXCLUDE_TRAIN_VAL:
-        masked.append(_flatten(dataset.val_pos))
+        masked.append((dataset.val_users, dataset.val_items))
     n = dataset.num_users
     depth = min(k, dataset.num_items) - 1
     items = np.full((n, depth + 1), -1, dtype=np.int64)
@@ -161,11 +160,8 @@ def _top(ranking, k):
 def _hits(dataset, top, split="test"):
     """(N, k) bool: ranked item is a held-out ``split`` positive (not padding)."""
     users = np.arange(len(top))[:, None]
-    if split == "test":
-        found = dataset.in_test(users, top)
-    else:
-        vu, vi = _flatten(dataset.val_pos)
-        found = dataset._member(np.sort(vu * dataset.num_items + vi), users, top)
+    member = dataset.in_test if split == "test" else dataset.in_val
+    found = member(users, top)
     return found & (top >= 0)
 
 
@@ -212,7 +208,7 @@ def prob_reo(ranking, dataset, catalog, k=None):
         DataError: if some group has no test positives.
     """
     k, top = _top(ranking, k)
-    denom = _group_sums(_flatten(dataset.test_pos)[1], catalog)
+    denom = _group_sums(dataset.test_items, catalog)
     return _group_probs(top[_hits(dataset, top)], denom, catalog, "test positives")
 
 
@@ -428,7 +424,7 @@ def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
         for _, _, block in _train_nan_blocks(params, dataset, buf):
             js.widen(block)
         return _all_divergence(js, params, dataset, buf)
-    users, items = _flatten(dataset.test_pos)
+    users, items = dataset.test_users, dataset.test_items
     scores = np.empty(len(items))
     for lo, hi, block in _train_nan_blocks(params, dataset, buf):
         _get_pairs(block, lo, hi, users, items, scores)
@@ -548,7 +544,7 @@ def evaluate_model(
     # the ranking's blocks also feed mode "all"'s ranges and the test-pair
     # scores; only mode "all"'s counts need a second pass
     js_all = _GroupJS(_group_members(catalog), catalog, "all")
-    test_users, test_items = _flatten(dataset.test_pos)
+    test_users, test_items = dataset.test_users, dataset.test_items
     test_scores = np.empty(len(test_items))
     largest = []
 
@@ -564,8 +560,12 @@ def evaluate_model(
     rsp = {k: prob_rsp(ranking, dataset, catalog, k=k) for k in ks}
     reo = {k: prob_reo(ranking, dataset, catalog, k=k) for k in ks}
     pairs = [
-        np.stack(_flatten(lists), axis=1)
-        for lists in (dataset.train_pos, dataset.val_pos, dataset.test_pos)
+        np.stack(split_pairs, axis=1)
+        for split_pairs in (
+            (dataset.pos_users, dataset.pos_items),
+            (dataset.val_users, dataset.val_items),
+            (dataset.test_users, dataset.test_items),
+        )
     ]
     item_counts, feedback, ratios, ratio_rsd = group_ratio_stats(
         catalog, np.concatenate(pairs)

@@ -80,6 +80,10 @@ class AdamState:
     it is next updated, which reproduces the moment trajectory of an eager
     implementation that decays every row each step but only applies
     parameter deltas to touched rows.
+
+    ``work`` holds three flat scratch arrays, each the size of the largest
+    block; an update over n rows of a block uses the first n rows' worth,
+    so the blocks share what they page in.
     """
 
     def __init__(self, blocks):
@@ -89,10 +93,18 @@ class AdamState:
         self.last = {
             k: np.zeros(a.shape[0], dtype=np.int64) for k, a in blocks.items()
         }
+        size = max((a.size for a in blocks.values()), default=0)
+        self.work = [np.empty(size) for _ in range(3)]
 
 
 def adam_step(state, blocks, grads, lr):
     """One global Adam step over the listed gradients, in place.
+
+    A sparse update gathers the rows of m, v and the block once each, updates
+    them in scratch rows and writes each back once; a dense one updates the
+    arrays in place.  Both round exactly as
+    ``m = b1**k * m + (1 - b1) * g``, ``v = b2**k * v + ((1 - b2) * g) * g``,
+    ``block -= (lr * m / bc1) / (sqrt(v / bc2) + eps)``.
 
     Args:
         state: AdamState built over ``blocks``.
@@ -111,23 +123,46 @@ def adam_step(state, blocks, grads, lr):
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name, (rows, g) in grads.items():
         g = np.asarray(g, dtype=np.float64)
-        if not np.all(np.isfinite(g)):
+        # min and max propagate NaN, so both are finite only if all of g is
+        if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValueError(f"non-finite gradient for block '{name}'")
+        block, m, v = blocks[name], state.m[name], state.v[name]
+        work = [w[: g.size].reshape(g.shape) for w in state.work]
         sel = slice(None) if rows is None else rows
         k = t - state.last[name][sel]
+        if rows is None:
+            mg, vg = m, v
+        else:
+            # mode="clip" writes straight into out; rows are in range
+            mg = np.take(m, rows, axis=0, out=work[0], mode="clip")
+            vg = np.take(v, rows, axis=0, out=work[1], mode="clip")
+        tmp = work[2]
         d1 = ADAM_BETA1 ** k
         d2 = ADAM_BETA2 ** k
         while d1.ndim < g.ndim:
             d1 = d1[..., None]
             d2 = d2[..., None]
-        m = state.m[name]
-        v = state.v[name]
-        m[sel] = d1 * m[sel] + (1.0 - ADAM_BETA1) * g
-        v[sel] = d2 * v[sel] + (1.0 - ADAM_BETA2) * g * g
+        mg *= d1
+        mg += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+        vg *= d2
+        np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+        vg += np.multiply(tmp, g, out=tmp)
+        if rows is not None:
+            m[rows] = mg
+            v[rows] = vg
         state.last[name][sel] = t
-        mhat = m[sel] / bc1
-        vhat = v[sel] / bc2
-        blocks[name][sel] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        mhat = np.divide(mg, bc1, out=tmp)
+        vhat = np.divide(vg, bc2, out=work[1])
+        np.sqrt(vhat, out=vhat)
+        vhat += ADAM_EPS
+        mhat *= lr
+        mhat /= vhat
+        if rows is None:
+            block -= mhat
+        else:
+            pg = np.take(block, rows, axis=0, out=work[0], mode="clip")
+            pg -= mhat
+            block[rows] = pg
 
 
 def save_checkpoint(path, params, config_hash="", adversary=None):

@@ -20,6 +20,7 @@ plain pairwise run bit for bit.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -181,18 +182,24 @@ class TrainResult:
 
 def _sample_neg_matrix(dataset, users, count, rng):
     """(len(users), count) negatives, uniform with replacement outside each
-    user's training positives."""
+    user's training positives.
+
+    Rejected draws are redrawn, in C order, until every draw is a
+    negative; each round looks up only the draws it just made.
+    """
     m = dataset.num_items
-    uniq = np.unique(users)
-    if (dataset.train_sizes[uniq] >= m).any():
-        full = int(uniq[dataset.train_sizes[uniq] >= m][0])
-        raise DataError(f"user {full} has no candidate negative items")
+    full = dataset.train_sizes[users] >= m
+    if full.any():
+        raise DataError(
+            f"user {int(users[full].min())} has no candidate negative items"
+        )
     out = rng.integers(0, m, size=(len(users), count))
+    flat = out.reshape(-1)
     rep_users = np.repeat(users, count)
-    bad = dataset.in_train(rep_users, out.ravel()).reshape(out.shape)
-    while bad.any():
-        out[bad] = rng.integers(0, m, size=int(bad.sum()))
-        bad = dataset.in_train(rep_users, out.ravel()).reshape(out.shape)
+    redo = np.flatnonzero(dataset.in_train(rep_users, flat))
+    while len(redo):
+        flat[redo] = rng.integers(0, m, size=len(redo))
+        redo = redo[dataset.in_train(rep_users[redo], flat[redo])]
     return out
 
 
@@ -231,19 +238,90 @@ class _BatchStream:
         return users, items, negs
 
 
-def _scatter_rows(nrows, ncols, parts):
-    """Sum (idx, vals) contributions into a dense (nrows, ncols) array.
+# score terms a theta step can add to the pair loss's gradient parts: the
+# adversary's or a group-gap penalty, and the KL term
+_MAX_SCORE_TERMS = 2
 
-    Each row adds its contributions in the order ``parts`` lists them.
+
+class _ThetaWork:
+    """The arrays of theta steps over b positives with r negatives each.
+
+    Made once per batch size and reused by every such step, so that no
+    step allocates (and pages in) arrays of its own.  A smaller batch size
+    (an epoch's tail batch) carves its arrays from the memory of the
+    ``base`` set made for a larger one.  Score instances are the b
+    positives, then the b * r negatives in row order.  The gradient parts
+    are stacked in the order the scatter sums them: the pair loss's rows,
+    then each score term's.
     """
-    acc = np.zeros((nrows, ncols))
-    if not parts:
-        return acc
-    idx = np.concatenate([p[0] for p in parts])
-    vals = np.concatenate([p[1] for p in parts], axis=0)
+
+    def __init__(self, b, r, dim, base=None):
+        def buf(name, shape, dtype=np.float64):
+            if base is None:
+                return np.empty(shape, dtype)
+            return _prefix(getattr(base, name).reshape(-1), shape)
+
+        n = b * (r + 1)
+        cap = n * _MAX_SCORE_TERMS
+        self.s_inst = buf("s_inst", (n,))
+        self.i_inst = buf("i_inst", (n,), np.int64)
+        self.pu = buf("pu", (b, dim))
+        self.vi = buf("vi", (b, dim))
+        self.bd = buf("bd", (b, dim))
+        self.vj = buf("vj", (b, r, dim))
+        self.u_vals = buf("u_vals", (b + cap, dim))
+        self.u_idx = buf("u_idx", (b + cap,), np.int64)
+        self.i_vals = buf("i_vals", (n + cap, dim))
+        self.i_idx = buf("i_idx", (n + cap,), np.int64)
+        # flat: a scatter lays its columns and sums out from the start
+        self.cols = buf("cols", (dim * (n + cap),))
+        self.sums = buf("sums", (dim * n,))
+        self.u_grad = buf("u_grad", (b * dim,))
+        self.i_grad = buf("i_grad", (n * dim,))
+        # scratch for the parts, which are done with it before the
+        # scatter fills cols
+        self.brd = _prefix(self.cols, (b, r, dim))
+
+
+def _prefix(flat, shape):
+    """A C-ordered ``shape`` view of the start of the 1-D array ``flat``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+class _RowSlots:
+    """np.unique(idx, return_inverse=True) for indices below ``size``,
+    from a mark and a slot per possible row, made once."""
+
+    def __init__(self, size):
+        self.mark = np.zeros(size, dtype=bool)
+        self.slot = np.empty(size, dtype=np.int64)
+
+    def compact(self, idx):
+        """(sorted distinct rows of idx, each entry's position among them)"""
+        self.mark[idx] = True
+        rows = np.flatnonzero(self.mark)
+        self.mark[rows] = False
+        self.slot[rows] = np.arange(len(rows))
+        return rows, self.slot[idx]
+
+
+def _scatter_rows(idx, vals, nrows, ncols, work, out):
+    """Sum the rows of ``vals`` that share an ``idx`` entry, over the first
+    ncols columns: a C-ordered (nrows, ncols) view of the flat buffer
+    ``out``.
+
+    Each row adds its contributions in the order ``vals`` lists them.  One
+    bincount per column, over that column copied contiguous into
+    ``work.cols``; the column sums go through ``work.sums``.
+    """
+    cols = _prefix(work.cols, (ncols, len(idx)))
+    np.copyto(cols, vals[:, :ncols].T)
+    sums = _prefix(work.sums, (ncols, nrows))
     for c in range(ncols):
-        acc[:, c] += np.bincount(idx, weights=vals[:, c], minlength=nrows)
-    return acc
+        sums[c] = np.bincount(idx, weights=cols[c], minlength=nrows)
+    out = _prefix(out, (nrows, ncols))
+    np.copyto(out, sums.T)
+    return out
 
 
 class _Trainer:
@@ -293,6 +371,13 @@ class _Trainer:
             self.adam_psi = AdamState(self.psi.blocks())
             self.sweep_rng = np.random.default_rng(int(seeds[3]))
         self.adv_work = {}  # discriminator buffers by batch size
+        self.theta_work = {}  # _ThetaWork by batch size
+        # fatr's dense item gradient, item-major like the factors
+        self.item_dense = None
+        if frozen is not None:
+            self.item_dense = np.empty((dataset.num_items, n_free))
+        self.user_slots = _RowSlots(dataset.num_users)
+        self.item_slots = _RowSlots(dataset.num_items)
         self.G = (
             catalog.memberships.astype(np.float64)
             if catalog is not None
@@ -314,51 +399,79 @@ class _Trainer:
         p_mat = self.params.user_factors
         imat = self.params.item_factors
         b, r = negs.shape
+        n = b * (r + 1)
         dim = p_mat.shape[1]
+        w = self.theta_work.get(b)
+        if w is None:
+            base = self.theta_work.get(self.cfg.batch_size)
+            w = self.theta_work[b] = _ThetaWork(b, r, dim, base)
         # the step touches the batch's users and its positive and negative
         # items; the gradient parts index those rows by position
-        i_inst = np.concatenate([items, negs.ravel()])
-        u_rows, u_pos = np.unique(users, return_inverse=True)
-        i_rows, i_pos = np.unique(i_inst, return_inverse=True)
-        pu = p_mat[users]
-        vi = imat[items]
-        vj = imat[negs]
-        s_pos = (pu * vi).sum(axis=1)
-        s_neg = np.einsum("bd,brd->br", pu, vj)
+        i_inst = w.i_inst
+        i_inst[:b] = items
+        i_inst[b:] = negs.reshape(-1)
+        u_rows, u_pos = self.user_slots.compact(users)
+        i_rows, i_pos = self.item_slots.compact(i_inst)
+        pu = np.take(p_mat, users, axis=0, out=w.pu, mode="clip")
+        vi = np.take(imat, items, axis=0, out=w.vi, mode="clip")
+        vj = np.take(imat, negs, axis=0, out=w.vj, mode="clip")
+        s_inst = w.s_inst
+        s_pos = np.multiply(pu, vi, out=w.bd).sum(axis=1, out=s_inst[:b])
+        s_neg = np.einsum("bd,brd->br", pu, vj, out=s_inst[b:].reshape(b, r))
         losses, g_pos = bpr_pair_loss_batch(s_pos[:, None], s_neg)
         pair_loss = float(losses.mean())
         total = pair_loss
         scale = 1.0 / (b * r)
-        user_parts, item_parts = [], []
-        du = (g_pos[:, :, None] * (vi[:, None, :] - vj)).sum(axis=1)
-        user_parts.append((u_pos, (du + l2 * r * pu) * scale))
-        di = g_pos.sum(axis=1)[:, None] * pu + l2 * r * vi
-        item_parts.append((i_pos[:b], di * scale))
-        dj = (-g_pos)[:, :, None] * pu[:, None, :] + l2 * vj
-        item_parts.append((i_pos[b:], dj.reshape(-1, dim) * scale))
-        # score terms see the b positives, then the b * r negatives
-        s_inst = np.concatenate([s_pos, s_neg.ravel()])
-        u_inst = np.concatenate([users, np.repeat(users, r)])
-        u_pos_inst = np.concatenate([u_pos, np.repeat(u_pos, r)])
+        # the pair loss's parts: b user rows, b positive and b * r negative
+        # item rows, each (product + l2 term) * scale
+        diff = np.subtract(vi[:, None, :], vj, out=w.brd)
+        diff *= g_pos[:, :, None]
+        du = diff.sum(axis=1, out=w.bd)
+        u_part = np.multiply(pu, l2 * r, out=w.u_vals[:b])
+        u_part += du
+        u_part *= scale
+        di = np.multiply(g_pos.sum(axis=1)[:, None], pu, out=w.i_vals[:b])
+        di += np.multiply(vi, l2 * r, out=w.bd)
+        dj = w.i_vals[b:n].reshape(b, r, dim)
+        np.multiply((-g_pos)[:, :, None], pu[:, None, :], out=dj)
+        dj += np.multiply(vj, l2, out=w.brd)
+        w.i_vals[:n] *= scale
         terms = []  # (weighted value, dL/ds over a prefix of the instances)
         if alpha != 0.0 and self.psi is not None:
             terms.append(self._theta_adv_term(s_inst, i_inst, b, r, alpha))
+        u_pos_neg = np.repeat(u_pos, r)  # each negative's user slot
         kl_value = float("nan")
         if beta != 0.0:
-            kl_value, g_kl = _batch_kl(s_inst, u_inst)
+            kl_value, g_kl = _batch_kl(
+                s_inst, np.concatenate([u_pos, u_pos_neg])
+            )
             terms.append((beta * kl_value, beta * g_kl))
         if self.cfg.kind in ("reg-rsp", "reg-reo"):
             terms.append(self._gap_term(s_inst, i_inst, b))
+        u_idx = [u_pos]
+        i_idx = [i_pos]
+        nu, ni = b, n
         for value, g in terms:
-            n = len(g)
-            # products formed in the gathered rows keep fewer large
-            # temporaries alive, which saves page faults on small corpora
-            du_term = imat[i_inst[:n]]
-            du_term *= g[:, None]
-            di_term = p_mat[u_inst[:n]]
-            di_term *= g[:, None]
-            user_parts.append((u_pos_inst[:n], du_term))
-            item_parts.append((i_pos[:n], di_term))
+            # a score term's parts: each instance's item row times dL/ds
+            # for its user, its user row times dL/ds for its item; g covers
+            # the b positives, or every instance
+            k = len(g)
+            ut = w.u_vals[nu : nu + k]
+            it = w.i_vals[ni : ni + k]
+            np.multiply(vi, g[:b, None], out=ut[:b])
+            np.multiply(pu, g[:b, None], out=it[:b])
+            if k > b:
+                g_neg = g[b:].reshape(b, r, 1)
+                np.multiply(vj, g_neg, out=ut[b:].reshape(b, r, dim))
+                np.multiply(
+                    pu[:, None, :], g_neg, out=it[b:].reshape(b, r, dim)
+                )
+                u_idx += [u_pos, u_pos_neg]
+            else:
+                u_idx.append(u_pos)
+            i_idx.append(i_pos[:k])
+            nu += k
+            ni += k
             total += value
         n_free = self.theta["item_factors"].shape[1]
         item_dense = None
@@ -369,17 +482,31 @@ class _Trainer:
             )
             total += lam * reg_loss
             # the cross-Gram gradient reaches every item
-            item_dense = (lam * reg_grad).T
+            item_dense = np.multiply(reg_grad.T, lam, out=self.item_dense)
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"batch loss is not finite ({total}); try a smaller "
                 "learning rate"
             )
-        g_items = _scatter_rows(len(i_rows), dim, item_parts)[:, :n_free]
+        g_items = _scatter_rows(
+            np.concatenate(i_idx, out=w.i_idx[:ni]),
+            w.i_vals[:ni],
+            len(i_rows),
+            n_free,
+            w,
+            w.i_grad,
+        )
         if item_dense is not None:
             item_dense[i_rows] += g_items
             i_rows, g_items = None, item_dense
-        g_users = _scatter_rows(len(u_rows), dim, user_parts)
+        g_users = _scatter_rows(
+            np.concatenate(u_idx, out=w.u_idx[:nu]),
+            w.u_vals[:nu],
+            len(u_rows),
+            dim,
+            w,
+            w.u_grad,
+        )
         grads = {
             "user_factors": (u_rows, g_users),
             "item_factors": (i_rows, g_items),
@@ -562,14 +689,14 @@ class _Trainer:
         )
 
 
-def _batch_kl(scores, users):
+def _batch_kl(scores, inv):
     """Mean per-user score-normalization term over one batch.
 
     Users are represented by their score instances in the batch; those with
-    fewer than two are skipped.  Returns (value, per-instance gradient of
-    the mean).
+    fewer than two are skipped.  ``inv`` numbers each instance's user among
+    the batch's U users, 0..U-1, as np.unique(users, return_inverse=True)
+    does.  Returns (value, per-instance gradient of the mean).
     """
-    uniq, inv = np.unique(users, return_inverse=True)
     cnt = np.bincount(inv).astype(np.float64)
     mu = np.bincount(inv, weights=scores) / cnt
     var = np.bincount(inv, weights=scores * scores) / cnt - mu * mu

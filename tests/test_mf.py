@@ -187,7 +187,8 @@ def _row_updates(rng, n_rows, n_cols, steps, key="w", dense_every=0):
             g = rng.normal(size=(n_rows, n_cols))
         else:
             rows = np.unique(rng.integers(0, n_rows, size=n_rows // 3))
-            g = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=(len(rows), n_cols))
+            scale = 10.0 ** rng.integers(-3, 3)
+            g = rng.normal(scale=scale, size=(len(rows), n_cols))
         updates.append({key: (rows, g)})
     return updates
 

@@ -476,7 +476,7 @@ def test_batch_kl_matches_per_user_reference():
         [rng.integers(0, 5, size=39), [9]]  # user 9: a singleton, skipped
     )
     scores = rng.normal(size=40)
-    value, grad = _batch_kl(scores, users)
+    value, grad = _batch_kl(scores, np.unique(users, return_inverse=True)[1])
     vals = []
     grad_ref = np.zeros(40)
     for u in np.unique(users):
