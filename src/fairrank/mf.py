@@ -81,19 +81,27 @@ class AdamState:
     implementation that decays every row each step but only applies
     parameter deltas to touched rows.
 
-    ``work`` holds three flat scratch arrays, each the size of the largest
-    block; an update over n rows of a block uses the first n rows' worth,
-    so the blocks share what they page in.
+    ``work`` holds three flat scratch arrays shared by every block: an
+    update of g.size entries uses their first g.size, and a larger update
+    than any before grows them.  ``max_rows`` (name -> the most rows one
+    update of that block touches, default all) sizes them up front.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, max_rows=None):
         self.step = 0
         self.m = {k: np.zeros_like(a) for k, a in blocks.items()}
         self.v = {k: np.zeros_like(a) for k, a in blocks.items()}
         self.last = {
             k: np.zeros(a.shape[0], dtype=np.int64) for k, a in blocks.items()
         }
-        size = max((a.size for a in blocks.values()), default=0)
+        max_rows = max_rows or {}
+        size = max(
+            (
+                min(max_rows.get(k, len(a)), len(a)) * (a.size // len(a))
+                for k, a in blocks.items()
+            ),
+            default=0,
+        )
         self.work = [np.empty(size) for _ in range(3)]
 
 
@@ -127,6 +135,8 @@ def adam_step(state, blocks, grads, lr):
         if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValueError(f"non-finite gradient for block '{name}'")
         block, m, v = blocks[name], state.m[name], state.v[name]
+        if state.work[0].size < g.size:
+            state.work = [np.empty(g.size) for _ in range(3)]
         work = [w[: g.size].reshape(g.shape) for w in state.work]
         sel = slice(None) if rows is None else rows
         k = t - state.last[name][sel]

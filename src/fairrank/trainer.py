@@ -238,11 +238,6 @@ class _BatchStream:
         return users, items, negs
 
 
-# score terms a theta step can add to the pair loss's gradient parts: the
-# adversary's or a group-gap penalty, and the KL term
-_MAX_SCORE_TERMS = 2
-
-
 class _ThetaWork:
     """The arrays of theta steps over b positives with r negatives each.
 
@@ -252,17 +247,20 @@ class _ThetaWork:
     ``base`` set made for a larger one.  Score instances are the b
     positives, then the b * r negatives in row order.  The gradient parts
     are stacked in the order the scatter sums them: the pair loss's rows,
-    then each score term's.
+    then those of each of at most ``n_terms`` score terms.  Every array is
+    sized to what a step can fill, so that its pages are all used: pages
+    left unused would be paged in later, by whatever reuses the memory.
     """
 
-    def __init__(self, b, r, dim, base=None):
+    def __init__(self, b, r, dim, n_terms, num_items, base=None):
         def buf(name, shape, dtype=np.float64):
             if base is None:
                 return np.empty(shape, dtype)
             return _prefix(getattr(base, name).reshape(-1), shape)
 
         n = b * (r + 1)
-        cap = n * _MAX_SCORE_TERMS
+        cap = n * n_terms
+        touched = min(n, num_items)  # distinct items in a step
         self.s_inst = buf("s_inst", (n,))
         self.i_inst = buf("i_inst", (n,), np.int64)
         self.pu = buf("pu", (b, dim))
@@ -275,9 +273,9 @@ class _ThetaWork:
         self.i_idx = buf("i_idx", (n + cap,), np.int64)
         # flat: a scatter lays its columns and sums out from the start
         self.cols = buf("cols", (dim * (n + cap),))
-        self.sums = buf("sums", (dim * n,))
+        self.sums = buf("sums", (dim * max(b, touched),))
         self.u_grad = buf("u_grad", (b * dim,))
-        self.i_grad = buf("i_grad", (n * dim,))
+        self.i_grad = buf("i_grad", (touched * dim,))
         # scratch for the parts, which are done with it before the
         # scatter fills cols
         self.brd = _prefix(self.cols, (b, r, dim))
@@ -349,7 +347,18 @@ class _Trainer:
             "user_factors": self.params.user_factors,
             "item_factors": self.params.item_factors[:, :n_free],
         }
-        self.adam_theta = AdamState(self.theta)
+        # a step touches at most its positives' users and its instances'
+        # items, or every item for fatr
+        b = min(config.batch_size, dataset.num_train_pairs)
+        self.adam_theta = AdamState(
+            self.theta,
+            {
+                "user_factors": b,
+                "item_factors": dataset.num_items
+                if frozen is not None
+                else b * (config.negative_rate + 1),
+            },
+        )
         self.stream = _BatchStream(
             dataset,
             config.batch_size,
@@ -371,6 +380,13 @@ class _Trainer:
             self.adam_psi = AdamState(self.psi.blocks())
             self.sweep_rng = np.random.default_rng(int(seeds[3]))
         self.adv_work = {}  # discriminator buffers by batch size
+        # score terms a theta step can add to the pair loss: the adversary's
+        # or a group-gap penalty, and the KL term
+        self.score_terms = (
+            (self.psi is not None)
+            + bool(config.weights.beta)
+            + (config.kind in ("reg-rsp", "reg-reo"))
+        )
         self.theta_work = {}  # _ThetaWork by batch size
         # fatr's dense item gradient, item-major like the factors
         self.item_dense = None
@@ -404,7 +420,9 @@ class _Trainer:
         w = self.theta_work.get(b)
         if w is None:
             base = self.theta_work.get(self.cfg.batch_size)
-            w = self.theta_work[b] = _ThetaWork(b, r, dim, base)
+            w = self.theta_work[b] = _ThetaWork(
+                b, r, dim, self.score_terms, self.ds.num_items, base
+            )
         # the step touches the batch's users and its positive and negative
         # items; the gradient parts index those rows by position
         i_inst = w.i_inst
