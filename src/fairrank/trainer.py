@@ -347,17 +347,12 @@ class _Trainer:
             "user_factors": self.params.user_factors,
             "item_factors": self.params.item_factors[:, :n_free],
         }
-        # a step touches at most its positives' users and its instances'
-        # items, or every item for fatr
+        # a sparse step touches at most b users and n = b * (r + 1) items
+        # (fatr's dense item update grows the scratch once if M > n)
         b = min(config.batch_size, dataset.num_train_pairs)
+        n = b * (config.negative_rate + 1)
         self.adam_theta = AdamState(
-            self.theta,
-            {
-                "user_factors": b,
-                "item_factors": dataset.num_items
-                if frozen is not None
-                else b * (config.negative_rate + 1),
-            },
+            self.theta, {"user_factors": b, "item_factors": n}
         )
         self.stream = _BatchStream(
             dataset,
