@@ -1,6 +1,7 @@
 """Matrix-factorization parameters, Adam updates, checkpoints."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,7 @@ class AdamState:
         max_rows = max_rows or {}
         size = max(
             (
-                min(max_rows.get(k, len(a)), len(a)) * (a.size // len(a))
+                min(max_rows.get(k, len(a)), len(a)) * math.prod(a.shape[1:])
                 for k, a in blocks.items()
             ),
             default=0,
