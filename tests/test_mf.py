@@ -252,7 +252,7 @@ def test_adam_psi_blocks_match_reference_bytes():
     )
 
 
-def test_adam_non_finite_leaves_reference_state():
+def test_adam_non_finite_sparse_update_touches_nothing():
     # the check runs before the block it guards is touched
     w = np.ones((3, 2))
     state = AdamState({"w": w})
