@@ -1,7 +1,6 @@
 """Matrix-factorization parameters, Adam updates, checkpoints."""
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,27 +82,20 @@ class AdamState:
     parameter deltas to touched rows.
 
     ``work`` holds three flat scratch arrays shared by every block: an
-    update of g.size entries uses their first g.size, and a larger update
-    than any before grows them.  ``max_rows`` (name -> the most rows one
-    update of that block touches, default all) sizes them up front.
+    update of g.size entries uses their first g.size.  A step with a larger
+    update than any before grows them, with an eighth to spare, so that a
+    later step touching a few more rows does not grow (and page in) them
+    again.
     """
 
-    def __init__(self, blocks, max_rows=None):
+    def __init__(self, blocks):
         self.step = 0
         self.m = {k: np.zeros_like(a) for k, a in blocks.items()}
         self.v = {k: np.zeros_like(a) for k, a in blocks.items()}
         self.last = {
             k: np.zeros(a.shape[0], dtype=np.int64) for k, a in blocks.items()
         }
-        max_rows = max_rows or {}
-        size = max(
-            (
-                min(max_rows.get(k, len(a)), len(a)) * math.prod(a.shape[1:])
-                for k, a in blocks.items()
-            ),
-            default=0,
-        )
-        self.work = [np.empty(size) for _ in range(3)]
+        self.work = [np.empty(0) for _ in range(3)]
 
 
 def adam_step(state, blocks, grads, lr):
@@ -130,14 +122,15 @@ def adam_step(state, blocks, grads, lr):
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    need = max((np.size(g) for _, g in grads.values()), default=0)
+    if state.work[0].size < need:
+        state.work = [np.empty(need + need // 8) for _ in range(3)]
     for name, (rows, g) in grads.items():
         g = np.asarray(g, dtype=np.float64)
         # min and max propagate NaN, so both are finite only if all of g is
         if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValueError(f"non-finite gradient for block '{name}'")
         block, m, v = blocks[name], state.m[name], state.v[name]
-        if state.work[0].size < g.size:
-            state.work = [np.empty(g.size) for _ in range(3)]
         work = [w[: g.size].reshape(g.shape) for w in state.work]
         sel = slice(None) if rows is None else rows
         k = t - state.last[name][sel]

@@ -239,46 +239,38 @@ class _BatchStream:
 
 
 class _ThetaWork:
-    """The arrays of theta steps over b positives with r negatives each.
+    """The arrays of theta steps over at most b positives with r negatives
+    each.
 
-    Made once per batch size and reused by every such step, so that no
-    step allocates (and pages in) arrays of its own.  A smaller batch size
-    (an epoch's tail batch) carves its arrays from the memory of the
-    ``base`` set made for a larger one.  Score instances are the b
-    positives, then the b * r negatives in row order.  The gradient parts
-    are stacked in the order the scatter sums them: the pair loss's rows,
-    then those of each of at most ``n_terms`` score terms.  Every array is
-    sized to what a step can fill, so that its pages are all used: pages
-    left unused would be paged in later, by whatever reuses the memory.
+    Made once and reused by every step, so that no step allocates (and
+    pages in) arrays of its own; an epoch's smaller tail batch uses the
+    leading rows of each array.  Score instances are the b positives, then
+    the b * r negatives in row order.  The gradient parts are stacked in the
+    order the scatter sums them: the pair loss's rows, then those of each
+    of at most ``n_terms`` score terms.  Every array is sized to what a
+    step can fill, so that its pages are all used: pages left unused would
+    be paged in later, by whatever reuses the memory.
     """
 
-    def __init__(self, b, r, dim, n_terms, num_items, base=None):
-        def buf(name, shape, dtype=np.float64):
-            if base is None:
-                return np.empty(shape, dtype)
-            return _prefix(getattr(base, name).reshape(-1), shape)
-
+    def __init__(self, b, r, dim, n_terms, num_items):
         n = b * (r + 1)
         cap = n * n_terms
         touched = min(n, num_items)  # distinct items in a step
-        self.s_inst = buf("s_inst", (n,))
-        self.i_inst = buf("i_inst", (n,), np.int64)
-        self.pu = buf("pu", (b, dim))
-        self.vi = buf("vi", (b, dim))
-        self.bd = buf("bd", (b, dim))
-        self.vj = buf("vj", (b, r, dim))
-        self.u_vals = buf("u_vals", (b + cap, dim))
-        self.u_idx = buf("u_idx", (b + cap,), np.int64)
-        self.i_vals = buf("i_vals", (n + cap, dim))
-        self.i_idx = buf("i_idx", (n + cap,), np.int64)
+        self.s_inst = np.empty(n)
+        self.i_inst = np.empty(n, dtype=np.int64)
+        self.pu = np.empty((b, dim))
+        self.vi = np.empty((b, dim))
+        self.bd = np.empty((b, dim))
+        self.vj = np.empty((b, r, dim))
+        self.u_vals = np.empty((b + cap, dim))
+        self.u_idx = np.empty(b + cap, dtype=np.int64)
+        self.i_vals = np.empty((n + cap, dim))
+        self.i_idx = np.empty(n + cap, dtype=np.int64)
         # flat: a scatter lays its columns and sums out from the start
-        self.cols = buf("cols", (dim * (n + cap),))
-        self.sums = buf("sums", (dim * max(b, touched),))
-        self.u_grad = buf("u_grad", (b * dim,))
-        self.i_grad = buf("i_grad", (touched * dim,))
-        # scratch for the parts, which are done with it before the
-        # scatter fills cols
-        self.brd = _prefix(self.cols, (b, r, dim))
+        self.cols = np.empty(dim * (n + cap))
+        self.sums = np.empty(dim * max(b, touched))
+        self.u_grad = np.empty(b * dim)
+        self.i_grad = np.empty(touched * dim)
 
 
 def _prefix(flat, shape):
@@ -347,13 +339,7 @@ class _Trainer:
             "user_factors": self.params.user_factors,
             "item_factors": self.params.item_factors[:, :n_free],
         }
-        # a sparse step touches at most b users and n = b * (r + 1) items
-        # (fatr's dense item update grows the scratch once if M > n)
-        b = min(config.batch_size, dataset.num_train_pairs)
-        n = b * (config.negative_rate + 1)
-        self.adam_theta = AdamState(
-            self.theta, {"user_factors": b, "item_factors": n}
-        )
+        self.adam_theta = AdamState(self.theta)
         self.stream = _BatchStream(
             dataset,
             config.batch_size,
@@ -375,14 +361,19 @@ class _Trainer:
             self.adam_psi = AdamState(self.psi.blocks())
             self.sweep_rng = np.random.default_rng(int(seeds[3]))
         self.adv_work = {}  # discriminator buffers by batch size
-        # score terms a theta step can add to the pair loss: the adversary's
-        # or a group-gap penalty, and the KL term
-        self.score_terms = (
-            (self.psi is not None)
-            + bool(config.weights.beta)
-            + (config.kind in ("reg-rsp", "reg-reo"))
+        self.plan = self._epoch_plan()
+        # room for the most score terms any epoch's steps add
+        self.score_terms = max(
+            (sum(self._score_terms(a, bt)) for _, _, a, bt, _ in self.plan),
+            default=0,
         )
-        self.theta_work = {}  # _ThetaWork by batch size
+        self.theta_work = _ThetaWork(
+            min(config.batch_size, dataset.num_train_pairs),
+            config.negative_rate,
+            config.dim,
+            self.score_terms,
+            dataset.num_items,
+        )
         # fatr's dense item gradient, item-major like the factors
         self.item_dense = None
         if frozen is not None:
@@ -401,6 +392,15 @@ class _Trainer:
 
     # ---- factor (theta) updates -------------------------------------
 
+    def _score_terms(self, alpha, beta):
+        """Which score terms a theta step with these weights adds to the
+        pair loss: (the adversary's, the KL term, the group-gap penalty)."""
+        return (
+            alpha != 0.0 and self.psi is not None,
+            beta != 0.0,
+            self.cfg.kind in ("reg-rsp", "reg-reo"),
+        )
+
     def _theta_update(self, batch, alpha, beta, l2):
         """One descent step on the composite batch objective.
 
@@ -412,24 +412,23 @@ class _Trainer:
         b, r = negs.shape
         n = b * (r + 1)
         dim = p_mat.shape[1]
-        w = self.theta_work.get(b)
-        if w is None:
-            base = self.theta_work.get(self.cfg.batch_size)
-            w = self.theta_work[b] = _ThetaWork(
-                b, r, dim, self.score_terms, self.ds.num_items, base
-            )
+        w = self.theta_work
+        bd = w.bd[:b]
+        # scratch for the parts, which are done with it before the scatter
+        # fills cols
+        brd = _prefix(w.cols, (b, r, dim))
         # the step touches the batch's users and its positive and negative
         # items; the gradient parts index those rows by position
-        i_inst = w.i_inst
+        i_inst = w.i_inst[:n]
         i_inst[:b] = items
         i_inst[b:] = negs.reshape(-1)
         u_rows, u_pos = self.user_slots.compact(users)
         i_rows, i_pos = self.item_slots.compact(i_inst)
-        pu = np.take(p_mat, users, axis=0, out=w.pu, mode="clip")
-        vi = np.take(imat, items, axis=0, out=w.vi, mode="clip")
-        vj = np.take(imat, negs, axis=0, out=w.vj, mode="clip")
-        s_inst = w.s_inst
-        s_pos = np.multiply(pu, vi, out=w.bd).sum(axis=1, out=s_inst[:b])
+        pu = np.take(p_mat, users, axis=0, out=w.pu[:b], mode="clip")
+        vi = np.take(imat, items, axis=0, out=w.vi[:b], mode="clip")
+        vj = np.take(imat, negs, axis=0, out=w.vj[:b], mode="clip")
+        s_inst = w.s_inst[:n]
+        s_pos = np.multiply(pu, vi, out=bd).sum(axis=1, out=s_inst[:b])
         s_neg = np.einsum("bd,brd->br", pu, vj, out=s_inst[b:].reshape(b, r))
         losses, g_pos = bpr_pair_loss_batch(s_pos[:, None], s_neg)
         pair_loss = float(losses.mean())
@@ -437,29 +436,30 @@ class _Trainer:
         scale = 1.0 / (b * r)
         # the pair loss's parts: b user rows, b positive and b * r negative
         # item rows, each (product + l2 term) * scale
-        diff = np.subtract(vi[:, None, :], vj, out=w.brd)
+        diff = np.subtract(vi[:, None, :], vj, out=brd)
         diff *= g_pos[:, :, None]
-        du = diff.sum(axis=1, out=w.bd)
+        du = diff.sum(axis=1, out=bd)
         u_part = np.multiply(pu, l2 * r, out=w.u_vals[:b])
         u_part += du
         u_part *= scale
         di = np.multiply(g_pos.sum(axis=1)[:, None], pu, out=w.i_vals[:b])
-        di += np.multiply(vi, l2 * r, out=w.bd)
+        di += np.multiply(vi, l2 * r, out=bd)
         dj = w.i_vals[b:n].reshape(b, r, dim)
         np.multiply((-g_pos)[:, :, None], pu[:, None, :], out=dj)
-        dj += np.multiply(vj, l2, out=w.brd)
+        dj += np.multiply(vj, l2, out=brd)
         w.i_vals[:n] *= scale
         terms = []  # (weighted value, dL/ds over a prefix of the instances)
-        if alpha != 0.0 and self.psi is not None:
+        adv_on, kl_on, gap_on = self._score_terms(alpha, beta)
+        if adv_on:
             terms.append(self._theta_adv_term(s_inst, i_inst, b, r, alpha))
         u_pos_neg = np.repeat(u_pos, r)  # each negative's user slot
         kl_value = float("nan")
-        if beta != 0.0:
+        if kl_on:
             kl_value, g_kl = _batch_kl(
                 s_inst, np.concatenate([u_pos, u_pos_neg])
             )
             terms.append((beta * kl_value, beta * g_kl))
-        if self.cfg.kind in ("reg-rsp", "reg-reo"):
+        if gap_on:
             terms.append(self._gap_term(s_inst, i_inst, b))
         u_idx = [u_pos]
         i_idx = [i_pos]
@@ -685,8 +685,9 @@ class _Trainer:
         return [pretrain] * cfg.pretrain_epochs + [rounds] * cfg.epochs
 
     def run(self):
-        plan = self._epoch_plan()
-        for epoch, (sweep, n_batches, alpha, beta, l2) in enumerate(plan, 1):
+        for epoch, (sweep, n_batches, alpha, beta, l2) in enumerate(
+            self.plan, 1
+        ):
             t0 = time.perf_counter()
             sweep_ll = self._psi_sweep() if sweep else float("nan")
             pair, kl = self._theta_batches(n_batches, alpha, beta, l2)
