@@ -264,6 +264,29 @@ def test_adam_non_finite_sparse_update_touches_nothing():
     assert (state.last["w"] == 0).all()
 
 
+def test_adam_scratch_grows_with_the_largest_update_of_a_step():
+    # sized once per step for its largest update, with an eighth to spare,
+    # so a step touching a few more rows reuses it
+    blocks = {"u": np.zeros((10, 2)), "w": np.zeros((100, 2))}
+    state = AdamState(blocks)
+    assert [a.size for a in state.work] == [0, 0, 0]
+    adam_step(
+        state,
+        blocks,
+        {
+            "u": (None, np.ones((10, 2))),
+            "w": (np.arange(40), np.ones((40, 2))),
+        },
+        lr=0.1,
+    )
+    work = state.work
+    assert [a.size for a in work] == [90, 90, 90]
+    adam_step(state, blocks, {"w": (np.arange(45), np.ones((45, 2)))}, 0.1)
+    assert state.work is work
+    adam_step(state, blocks, {"w": (np.arange(50), np.ones((50, 2)))}, 0.1)
+    assert [a.size for a in state.work] == [112, 112, 112]
+
+
 def test_checkpoint_round_trip(tmp_path):
     p = init_params(7, 5, 3, seed=2)
     path = tmp_path / "ck"

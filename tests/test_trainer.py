@@ -612,6 +612,31 @@ def test_plain_trajectory_matches_pinned_digest(synth_dataset, key):
     assert _trajectory_digests(res) == (_PINNED_PLAIN_RUNS[key], None)
 
 
+@pytest.mark.parametrize(
+    "kind, alpha, beta, n_terms",
+    [
+        ("bpr", 0.0, 1.0, 0),  # bpr epochs run with beta 0
+        ("fatr", 0.0, 0.0, 0),
+        ("fatr", 0.0, 1.0, 1),
+        ("reg-rsp", 0.0, 1.0, 2),
+        ("dpr-rsp", 10.0, 1.0, 2),
+        ("dpr-reo", 0.0, 1.0, 1),  # alpha 0 builds no discriminator
+    ],
+)
+def test_theta_work_has_room_for_the_plans_score_terms(
+    synth_dataset, kind, alpha, beta, n_terms
+):
+    ds, cat = synth_dataset
+    weights = _weights(alpha=alpha, beta=beta, lambda_model=1.0)
+    cfg = _small_cfg(kind, weights=weights)
+    tr = _Trainer(cfg, ds, None if kind == "bpr" else cat)
+    assert tr.score_terms == n_terms
+    b = min(cfg.batch_size, ds.num_train_pairs)
+    n = b * (cfg.negative_rate + 1)
+    assert tr.theta_work.u_vals.shape == (b + n * n_terms, cfg.dim)
+    assert tr.theta_work.i_vals.shape == (n + n * n_terms, cfg.dim)
+
+
 def test_zero_alpha_run_matches_pinned_factors(synth_dataset):
     ds, cat = synth_dataset
     res = _pinned_run("dpr-reo", 4, 0.0, 10.0, ds, cat)
