@@ -533,3 +533,93 @@ def ref_sample_neg_matrix(dataset, users, count, rng):
         out[bad] = rng.integers(0, m, size=int(bad.sum()))
         bad = dataset.in_train(rep_users, out.ravel()).reshape(out.shape)
     return out
+
+
+# ---- data: the per-user synthetic draws and the line-scan loader ----------
+
+
+def ref_generate_synthetic(spec):
+    """data.generate_synthetic with one rng.choice call per user."""
+    from fairrank.data import (
+        GroupCatalog,
+        RawInteractions,
+        _allocate_counts,
+    )
+    from fairrank.errors import ConfigError
+
+    spec.validate()
+    counts = _allocate_counts(spec.group_item_shares, spec.num_items)
+    if (counts < 1).any():
+        raise ConfigError(
+            "group_item_shares: every group needs at least one item"
+        )
+    item_group = np.repeat(np.arange(spec.num_groups), counts)
+    memberships = np.zeros((spec.num_items, spec.num_groups), dtype=np.uint8)
+    memberships[np.arange(spec.num_items), item_group] = 1
+    weights = np.asarray(spec.group_popularity, dtype=np.float64)[item_group]
+    p = weights / weights.sum()
+    rng = np.random.default_rng(spec.seed)
+    pairs = np.empty((spec.num_users * spec.interactions_per_user, 2), dtype=np.int64)
+    k = spec.interactions_per_user
+    for u in range(spec.num_users):
+        items = rng.choice(spec.num_items, size=k, replace=False, p=p)
+        pairs[u * k : (u + 1) * k, 0] = u
+        pairs[u * k : (u + 1) * k, 1] = items
+    raw = RawInteractions(
+        pairs,
+        {f"u{n}": n for n in range(spec.num_users)},
+        {f"i{m}": m for m in range(spec.num_items)},
+    )
+    catalog = GroupCatalog(
+        [f"g{a}" for a in range(spec.num_groups)], memberships
+    )
+    return raw, catalog
+
+
+def _ref_read_rows(path, expected_header):
+    import csv
+    from pathlib import Path
+
+    from fairrank.errors import DataError
+
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"file not found: {path}")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != expected_header:
+            raise DataError(
+                f"{path}: expected header '{','.join(expected_header)}'"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(expected_header):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(expected_header)} "
+                    f"columns, got {len(row)}"
+                )
+            cells = [c.strip() for c in row]
+            if any(not c for c in cells):
+                raise DataError(f"{path}:{lineno}: empty field")
+            yield lineno, cells
+
+
+def ref_load_interactions(path):
+    """data.load_interactions as a csv.reader line scan with a seen set."""
+    from fairrank.data import RawInteractions
+    from fairrank.errors import DataError
+
+    user_index, item_index = {}, {}
+    seen = set()
+    pairs = []
+    for _, (u_raw, i_raw) in _ref_read_rows(path, ["user_id", "item_id"]):
+        u = user_index.setdefault(u_raw, len(user_index))
+        i = item_index.setdefault(i_raw, len(item_index))
+        if (u, i) not in seen:
+            seen.add((u, i))
+            pairs.append((u, i))
+    if not pairs:
+        raise DataError(f"{path}: empty dataset")
+    return RawInteractions(
+        np.array(pairs, dtype=np.int64), user_index, item_index
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -327,3 +328,32 @@ def test_seed_override_changes_run(corpus_dir, tmp_path, capsys):
     a = open(os.path.join(dir_a, "checkpoint"), "rb").read()
     b = open(os.path.join(dir_b, "checkpoint"), "rb").read()
     assert a != b
+
+
+def test_synth_csv_bytes_are_pinned(tmp_path):
+    # 3 groups, and fewer draws than items, so groups.csv leaves some out
+    ini = _write(
+        tmp_path / "synth.ini",
+        "[synthetic]\n"
+        "num_users = 40\n"
+        "num_items = 60\n"
+        "num_groups = 3\n"
+        "group_item_shares = 0.5,0.3,0.2\n"
+        "group_popularity = 1.0,0.5,0.1\n"
+        "interactions_per_user = 4\n"
+        "seed = 11\n",
+    )
+    out = tmp_path / "data"
+    assert main(["synth", "--config", ini, "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("interactions.csv", "groups.csv")
+    }
+    assert digests == {
+        "interactions.csv": (
+            "4a3fec6c2d3dd8cc68a624842af55b72e8fec56381a4f4d11673a55459212c74"
+        ),
+        "groups.csv": (
+            "90ba214b8ee9ccf8d7f53bdf1587c610c5ebd9e6c152898c1ace3276de872372"
+        ),
+    }

@@ -12,7 +12,12 @@ from fairrank.errors import ConfigError, DataError
 from fairrank.trainer import TrainConfig, _sample_neg_matrix
 
 from conftest import DATA_DIR, make_synth
-from oracles import ref_sample_neg_matrix, ref_split
+from oracles import (
+    ref_generate_synthetic,
+    ref_load_interactions,
+    ref_sample_neg_matrix,
+    ref_split,
+)
 
 
 def test_load_interactions_dedup_and_first_seen(small_raw):
@@ -314,3 +319,121 @@ def test_synthetic_validate_errors():
         SyntheticSpec(**{**good, "interactions_per_user": 11}).validate()
     with pytest.raises(ConfigError):
         SyntheticSpec(**{**good, "group_popularity": (1.0, 0.0)}).validate()
+
+
+# (users, items, groups, item shares, popularity, per user)
+_SYNTH_SPECS = {
+    "k1": (30, 20, 2, (0.75, 0.25), (0.75, 0.25), 1),
+    "k_m_minus_1": (20, 15, 2, (0.75, 0.25), (0.75, 0.25), 14),
+    "k_m": (10, 12, 2, (0.75, 0.25), (0.75, 0.25), 12),
+    "one_user": (1, 50, 2, (0.75, 0.25), (0.75, 0.25), 10),
+    "one_group": (40, 30, 1, (1.0,), (1.0,), 8),
+    "three_groups": (60, 45, 3, (0.5, 0.3, 0.2), (1.0, 0.5, 0.2), 9),
+    "rare_group": (50, 40, 2, (0.5, 0.5), (1.0, 0.001), 10),
+    "rare_group_full": (8, 20, 3, (0.4, 0.4, 0.2), (1.0, 0.5, 0.001), 20),
+    "bpr_m_shape": (250, 2000, 2, (0.75, 0.25), (0.75, 0.25), 20),
+    "dpr_rsp_s_shape": (200, 200, 2, (0.75, 0.25), (0.75, 0.25), 30),
+    "fatr_l_shape": (150, 5000, 2, (0.75, 0.25), (0.75, 0.25), 20),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("name", sorted(_SYNTH_SPECS))
+def test_synthetic_matches_per_user_choice(name, seed):
+    n, m, a, shares, popularity, k = _SYNTH_SPECS[name]
+    spec = SyntheticSpec(n, m, a, shares, popularity, k, seed=seed)
+    raw, cat = generate_synthetic(spec)
+    ref_raw, ref_cat = ref_generate_synthetic(spec)
+    assert raw.pairs.dtype == ref_raw.pairs.dtype
+    assert raw.pairs.shape == ref_raw.pairs.shape
+    assert raw.pairs.tobytes() == ref_raw.pairs.tobytes()
+    assert list(raw.user_index.items()) == list(ref_raw.user_index.items())
+    assert list(raw.item_index.items()) == list(ref_raw.item_index.items())
+    assert cat.group_names == ref_cat.group_names
+    assert cat.memberships.dtype == ref_cat.memberships.dtype
+    assert cat.memberships.tobytes() == ref_cat.memberships.tobytes()
+
+
+def _load_both(path):
+    """(result, DataError text) of load_interactions and of the line scan."""
+    out = []
+    for load in (load_interactions, ref_load_interactions):
+        try:
+            out.append((load(str(path)), None))
+        except DataError as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+def _assert_same_load(path):
+    (got, got_err), (want, want_err) = _load_both(path)
+    assert got_err == want_err
+    if want is not None:
+        assert got.pairs.dtype == want.pairs.dtype
+        assert got.pairs.shape == want.pairs.shape
+        assert got.pairs.tobytes() == want.pairs.tobytes()
+        assert list(got.user_index.items()) == list(want.user_index.items())
+        assert list(got.item_index.items()) == list(want.item_index.items())
+    return got, want_err
+
+
+_LOADER_INPUTS = {
+    "plain": b"user_id,item_id\na,x\nb,y\na,y\n",
+    "bom": b"\xef\xbb\xbfuser_id,item_id\na,x\nb,y\n",
+    "crlf": b"user_id,item_id\r\na,x\r\nb,y\r\n",
+    "bare_cr": b"user_id,item_id\ra,x\rb,y\r",
+    "quoted_comma": b'user_id,item_id\n"a,1",x\nb,y\n',
+    "quoted_plain": b'user_id,item_id\n"a",x\na,"x"\n',
+    "spaces": b"user_id,item_id\n a ,x\na,  x\n",
+    "tabs": b"user_id,item_id\n\ta,x\t\na,x\n",
+    "nbsp": "user_id,item_id\n\xa0a,x\na,x\xa0\n".encode(),
+    "ideographic_space": "user_id,item_id\na　,x\na,x\n".encode(),
+    "vertical_tab": b"user_id,item_id\na\x0b,x\na,\x1cx\n",
+    "nul": b"user_id,item_id\na\x00,x\nb,y\n",
+    "blank_line": b"user_id,item_id\na,x\n\nb,y\n",
+    "blank_last_line": b"user_id,item_id\na,x\nb,y\n\n",
+    "no_trailing_newline": b"user_id,item_id\na,x\nb,y",
+    "duplicates": b"user_id,item_id\na,x\nb,y\na,x\nb,y\nb,x\na,x\n",
+    "header_spaces": b" user_id , item_id \na,x\nb,y\n",
+    "header_crlf_only": b"user_id,item_id\r\na,x\nb,y\n",
+    "bad_header": b"user,item\na,x\n",
+    "one_cell": b"user_id,item_id\na,x\nb\n",
+    "three_cells": b"user_id,item_id\na,x\nb,y,z\n",
+    "three_then_one": b"user_id,item_id\na,x,y\nb\n",
+    "one_then_three": b"user_id,item_id\na\nb,x,y\n",
+    "empty_first_cell": b"user_id,item_id\na,x\n,y\n",
+    "empty_second_cell": b"user_id,item_id\na,x\nb,\n",
+    "header_only": b"user_id,item_id\n",
+    "header_only_no_newline": b"user_id,item_id",
+    "empty_file": b"",
+    "unicode_ids": "user_id,item_id\nélodie,ü\nzoë,ü\n".encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADER_INPUTS))
+def test_load_interactions_matches_line_scan(name, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(_LOADER_INPUTS[name])
+    _assert_same_load(path)
+
+
+def _write_pairs_csv(path, pairs):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("user_id,item_id\n")
+        for u, i in pairs:
+            fh.write(f"u{u},i{i}\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_load_interactions_matches_line_scan_on_shuffled_corpus(
+    seed, tmp_path
+):
+    raw, _ = make_synth(num_users=70, num_items=40, per_user=9, seed=seed)
+    rng = np.random.default_rng(seed)
+    # shuffled rows with a tenth of them repeated
+    rows = np.concatenate([raw.pairs, raw.pairs[: len(raw.pairs) // 10]])
+    rows = rows[rng.permutation(len(rows))]
+    path = tmp_path / "shuffled.csv"
+    _write_pairs_csv(path, rows)
+    got, err = _assert_same_load(path)
+    assert err is None and len(got.pairs) == len(raw.pairs)
