@@ -196,6 +196,14 @@ def cmd_sweep(args):
     return 0
 
 
+def _names_by_index(index):
+    """External ids as an object array indexed by dense id."""
+    names = np.empty(len(index), dtype=object)
+    ids = np.fromiter(index.values(), dtype=np.int64, count=len(index))
+    names[ids] = list(index)
+    return names
+
+
 def cmd_synth(args):
     cfg = load_config(args.config)
     if cfg.synthetic is None:
@@ -204,22 +212,21 @@ def cmd_synth(args):
         cfg.synthetic.seed = args.seed
     raw, catalog = generate_synthetic(cfg.synthetic)
     os.makedirs(args.out, exist_ok=True)
-    inv_user = {v: k for k, v in raw.user_index.items()}
-    inv_item = {v: k for k, v in raw.item_index.items()}
+    user_names = _names_by_index(raw.user_index)
+    item_names = _names_by_index(raw.item_index)
+    rows = zip(user_names[raw.pairs[:, 0]], item_names[raw.pairs[:, 1]])
     ipath = os.path.join(args.out, "interactions.csv")
     with open(ipath, "w", encoding="utf-8") as fh:
-        fh.write("user_id,item_id\n")
-        for u, i in raw.pairs:
-            fh.write(f"{inv_user[int(u)]},{inv_item[int(i)]}\n")
+        fh.write("user_id,item_id\n" + "".join(f"{u},{i}\n" for u, i in rows))
     # only items that occur in the interactions survive a reload, so the
     # group file is restricted to them
     used = np.unique(raw.pairs[:, 1])
+    item_rows, groups = np.nonzero(catalog.memberships[used])
+    group_names = np.array(catalog.group_names, dtype=object)
+    rows = zip(item_names[used[item_rows]], group_names[groups])
     gpath = os.path.join(args.out, "groups.csv")
     with open(gpath, "w", encoding="utf-8") as fh:
-        fh.write("item_id,group\n")
-        for i in used:
-            for a in np.flatnonzero(catalog.memberships[int(i)]):
-                fh.write(f"{inv_item[int(i)]},{catalog.group_names[a]}\n")
+        fh.write("item_id,group\n" + "".join(f"{i},{g}\n" for i, g in rows))
     log.info(
         "synth: %d interactions, %d users, %d of %d items used",
         len(raw.pairs),

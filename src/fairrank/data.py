@@ -6,7 +6,9 @@ works on the dense ids.
 """
 
 import csv
+import io
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,27 +44,99 @@ class RawInteractions:
         return len(self.item_index)
 
 
-def _read_rows(path, expected_header):
+def _read_text(path):
+    """The whole file as text, a leading BOM dropped, line ends as written.
+
+    Raises:
+        DataError: naming the path, when the file is missing, cannot be
+            read, or is not UTF-8.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != expected_header:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+
+
+def _read_rows(path, expected_header, text=None):
+    """(line number, stripped cells) of each row after the header."""
+    if text is None:
+        text = _read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != expected_header:
+        raise DataError(
+            f"{path}: expected header '{','.join(expected_header)}'"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(expected_header):
             raise DataError(
-                f"{path}: expected header '{','.join(expected_header)}'"
+                f"{path}:{lineno}: expected {len(expected_header)} "
+                f"columns, got {len(row)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(expected_header)} "
-                    f"columns, got {len(row)}"
-                )
-            cells = [c.strip() for c in row]
-            if any(not c for c in cells):
-                raise DataError(f"{path}:{lineno}: empty field")
-            yield lineno, cells
+        cells = [c.strip() for c in row]
+        if any(not c for c in cells):
+            raise DataError(f"{path}:{lineno}: empty field")
+        yield lineno, cells
+
+
+# what csv.reader and str.strip would act on: quotes, NUL, and whitespace
+# other than the "\n" line ends (str.strip drops every isspace character)
+_ASCII_SPECIAL = '"\x00' + "".join(
+    c for c in map(chr, range(128)) if c.isspace() and c != "\n"
+)
+_SPECIAL = re.compile(r'["\x00]|[^\S\n]')
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
+def _plain_cells(text):
+    """The cells of a plain ``user_id,item_id`` file, user and item
+    alternating, or None when the line scan must read it.
+
+    Plain means: the header is exactly ``user_id,item_id``, the body holds
+    no quote, NUL or whitespace other than the newlines ending its lines,
+    and every line holds exactly two non-empty cells.  On such a file the line scan's
+    rows are these cells, stripping changes nothing, and no row fails.
+    """
+    header, _, body = text.partition("\n")
+    if header != "user_id,item_id" or not body:
+        return None
+    if body.endswith("\n"):
+        body = body[:-1]
+    if body.isascii():
+        if any(c in body for c in _ASCII_SPECIAL):
+            return None
+    elif _SPECIAL.search(body):
+        return None
+    # separators must run comma, newline, comma, ..., comma, with a cell
+    # of at least one character before, between and after them
+    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
+    if (
+        len(seps) % 2 == 0
+        or seps[0] == 0
+        or seps[-1] == len(raw) - 1
+        or (np.diff(seps) < 2).any()
+        or (raw[seps[0::2]] != _COMMA).any()
+        or (raw[seps[1::2]] != _NEWLINE).any()
+    ):
+        return None
+    return body.replace("\n", ",").split(",")
+
+
+def _dense_ids(cells):
+    """(ids, index): dense ids of ``cells`` and the external id -> dense id
+    map, ids assigned in first-seen order."""
+    index = dict(zip(dict.fromkeys(cells), range(len(cells))))
+    ids = np.fromiter(
+        map(index.__getitem__, cells), dtype=np.int64, count=len(cells)
+    )
+    return ids, index
 
 
 def load_interactions(path):
@@ -70,6 +144,8 @@ def load_interactions(path):
 
     Duplicate rows collapse to a single pair.  Dense indices are assigned in
     first-seen order, so reloading the same file reproduces the same maps.
+    A plain file (see ``_plain_cells``) is parsed in bulk; any other is
+    read row by row, which also judges and reports malformed rows.
 
     Args:
         path: CSV file with header ``user_id,item_id``.
@@ -78,12 +154,29 @@ def load_interactions(path):
         RawInteractions with deduplicated pairs.
 
     Raises:
-        DataError: on a missing file, malformed row, or an empty dataset.
+        DataError: on a missing or unreadable file, malformed row, or an
+            empty dataset.
     """
+    text = _read_text(path)
+    cells = _plain_cells(text)
+    if cells is not None:
+        del text
+        users, user_index = _dense_ids(cells[0::2])
+        items, item_index = _dense_ids(cells[1::2])
+        del cells
+        # first occurrence of each pair, in file order
+        _, first = np.unique(
+            users * len(item_index) + items, return_index=True
+        )
+        first.sort()
+        pairs = np.empty((len(first), 2), dtype=np.int64)
+        pairs[:, 0] = users[first]
+        pairs[:, 1] = items[first]
+        return RawInteractions(pairs, user_index, item_index)
     user_index, item_index = {}, {}
     seen = set()
     pairs = []
-    for _, (u_raw, i_raw) in _read_rows(path, ["user_id", "item_id"]):
+    for _, (u_raw, i_raw) in _read_rows(path, ["user_id", "item_id"], text):
         u = user_index.setdefault(u_raw, len(user_index))
         i = item_index.setdefault(i_raw, len(item_index))
         if (u, i) not in seen:
@@ -326,6 +419,83 @@ def _allocate_counts(shares, total):
     return base
 
 
+# most doubles one window of first-round draws may take
+_MAX_WINDOW_DRAWS = 1 << 16
+
+
+def _choice_per_user(rng, p, num_users, k):
+    """(num_users, k) items, row u what ``rng.choice(len(p), k,
+    replace=False, p=p)`` returns as user u's call in a per-user loop.
+
+    ``Generator.choice`` draws k uniforms, maps them through the cdf of
+    ``p`` and keeps each item's first occurrence; while fewer than k are
+    distinct, it zeroes the found items' weights, renormalises and draws
+    the shortfall.  This replays that loop over the same ``rng.random``
+    stream, taking every user's first round in windows: a window's rows
+    are searched at once and accepted up to the first row with a repeat,
+    which finishes with the later rounds, and the next window starts after
+    it.  The window doubles while rows come back clean and shrinks to the
+    clean run's length after a repeat.  Uniforms come from one buffer
+    filled in large draws, so ``rng`` ends up past the last one used; the
+    caller's generator is local and read no further.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    out = np.empty((num_users, k), dtype=np.int64)
+    buf = np.empty(0)
+    pos = 0
+
+    def peek(n):
+        nonlocal buf, pos
+        if len(buf) - pos < n:
+            fresh = rng.random(max(n, _MAX_WINDOW_DRAWS) - (len(buf) - pos))
+            buf = np.concatenate([buf[pos:], fresh])
+            pos = 0
+        return buf[pos : pos + n]
+
+    def first_occurrences(new):
+        _, first = np.unique(new, return_index=True)
+        first.sort()
+        return new.take(first)
+
+    max_window = max(1, _MAX_WINDOW_DRAWS // k)
+    u, window = 0, 1
+    while u < num_users:
+        w = min(window, num_users - u)
+        rows = cdf.searchsorted(peek(w * k).reshape(w, k), side="right")
+        clean = w
+        if k > 1:
+            ordered = np.sort(rows, axis=1)
+            repeat = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            if repeat.any():
+                clean = int(repeat.argmax())
+        out[u : u + clean] = rows[:clean]
+        pos += clean * k
+        u += clean
+        if clean == w:
+            window = min(2 * window, max_window)
+            continue
+        # user u's first round drew a repeat: numpy's later rounds
+        found = out[u]
+        new = first_occurrences(rows[clean])
+        n_uniq = len(new)
+        found[:n_uniq] = new
+        pos += k
+        weights = p.copy()
+        while n_uniq < k:
+            x = peek(k - n_uniq)
+            pos += k - n_uniq
+            weights[found[:n_uniq]] = 0
+            round_cdf = np.cumsum(weights)
+            round_cdf /= round_cdf[-1]
+            new = first_occurrences(round_cdf.searchsorted(x, side="right"))
+            found[n_uniq : n_uniq + len(new)] = new
+            n_uniq += len(new)
+        u += 1
+        window = max(1, clean)
+    return out
+
+
 def generate_synthetic(spec):
     """Generate skewed feedback: item draw weight follows group popularity.
 
@@ -351,12 +521,11 @@ def generate_synthetic(spec):
     weights = np.asarray(spec.group_popularity, dtype=np.float64)[item_group]
     p = weights / weights.sum()
     rng = np.random.default_rng(spec.seed)
-    pairs = np.empty((spec.num_users * spec.interactions_per_user, 2), dtype=np.int64)
     k = spec.interactions_per_user
-    for u in range(spec.num_users):
-        items = rng.choice(spec.num_items, size=k, replace=False, p=p)
-        pairs[u * k : (u + 1) * k, 0] = u
-        pairs[u * k : (u + 1) * k, 1] = items
+    items = _choice_per_user(rng, p, spec.num_users, k)
+    pairs = np.empty((spec.num_users * k, 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(np.arange(spec.num_users, dtype=np.int64), k)
+    pairs[:, 1] = items.ravel()
     raw = RawInteractions(
         pairs,
         {f"u{n}": n for n in range(spec.num_users)},

@@ -179,6 +179,26 @@ def test_audit_group_table(capsys):
     assert "feedback ratio relative spread: " in out
 
 
+def test_unreadable_interactions_are_domain_errors(
+    corpus_dir, tmp_path, capsys
+):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"user_id,item_id\na,\xff\xfe\n")
+    for path in (bad, tmp_path):
+        code = main(["audit", "--interactions", str(path),
+                     "--groups", SMALL_GROUPS])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir)
+    ini_text = open(ini, encoding="utf-8").read()
+    _write(ini, ini_text.replace(
+        str(corpus_dir / "interactions.csv"), str(bad)
+    ))
+    assert main(["train", "--config", ini]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
+
+
 def test_audit_with_checkpoint(corpus_dir, tmp_path, capsys):
     ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
     assert main(["train", "--config", ini]) == 0

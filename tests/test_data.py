@@ -437,3 +437,41 @@ def test_load_interactions_matches_line_scan_on_shuffled_corpus(
     _write_pairs_csv(path, rows)
     got, err = _assert_same_load(path)
     assert err is None and len(got.pairs) == len(raw.pairs)
+
+
+def test_load_interactions_plain_file_takes_bulk_path(monkeypatch, tmp_path):
+    import fairrank.data as data
+
+    raw, _ = make_synth(num_users=30, num_items=20, per_user=5, seed=4)
+    plain = tmp_path / "plain.csv"
+    _write_pairs_csv(plain, np.concatenate([raw.pairs, raw.pairs[:7]]))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    want = ref_load_interactions(str(plain))
+
+    def no_line_scan(*args, **kwargs):
+        raise AssertionError("line scan used")
+
+    monkeypatch.setattr(data, "_read_rows", no_line_scan)
+    got = load_interactions(str(plain))
+    assert got.pairs.tobytes() == want.pairs.tobytes()
+    assert list(got.user_index.items()) == list(want.user_index.items())
+    assert list(got.item_index.items()) == list(want.item_index.items())
+    # anything but plain "\n" line ends goes to the line scan
+    with pytest.raises(AssertionError, match="line scan used"):
+        load_interactions(str(crlf))
+
+
+def test_loaders_reject_unreadable_files(tmp_path, small_raw):
+    not_utf8 = tmp_path / "latin.csv"
+    not_utf8.write_bytes(b"user_id,item_id\na,x\nb,\xff\xfey\n")
+    with pytest.raises(DataError, match=r"latin\.csv: not UTF-8 text"):
+        load_interactions(str(not_utf8))
+    with pytest.raises(DataError, match=r"latin\.csv: not UTF-8 text"):
+        load_groups(str(not_utf8), small_raw.item_index)
+    folder = tmp_path / "folder.csv"
+    folder.mkdir()
+    with pytest.raises(DataError, match=r"folder\.csv: cannot read"):
+        load_interactions(str(folder))
+    with pytest.raises(DataError, match=r"folder\.csv: cannot read"):
+        load_groups(str(folder), small_raw.item_index)
