@@ -8,7 +8,6 @@ works on the dense ids.
 import csv
 import io
 import logging
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,12 +84,12 @@ def _read_rows(path, expected_header, text=None):
         yield lineno, cells
 
 
-# what csv.reader and str.strip would act on: quotes, NUL, and whitespace
-# other than the "\n" line ends (str.strip drops every isspace character)
-_ASCII_SPECIAL = '"\x00' + "".join(
+# what csv.reader and str.strip would act on in ASCII text: quotes, NUL,
+# and whitespace other than the "\n" line ends (str.strip drops every
+# isspace character)
+_SPECIAL = '"\x00' + "".join(
     c for c in map(chr, range(128)) if c.isspace() and c != "\n"
 )
-_SPECIAL = re.compile(r'["\x00]|[^\S\n]')
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
@@ -98,24 +97,22 @@ def _plain_cells(text):
     """The cells of a plain ``user_id,item_id`` file, user and item
     alternating, or None when the line scan must read it.
 
-    Plain means: the header is exactly ``user_id,item_id``, the body holds
-    no quote, NUL or whitespace other than the newlines ending its lines,
-    and every line holds exactly two non-empty cells.  On such a file the line scan's
-    rows are these cells, stripping changes nothing, and no row fails.
+    Plain means: the header is exactly ``user_id,item_id``, the body is
+    ASCII with no quote, NUL or whitespace other than the newlines ending
+    its lines, and every line holds exactly two non-empty cells.  On such a
+    file the line scan's rows are these cells, stripping changes nothing,
+    and no row fails.
     """
     header, _, body = text.partition("\n")
     if header != "user_id,item_id" or not body:
         return None
     if body.endswith("\n"):
         body = body[:-1]
-    if body.isascii():
-        if any(c in body for c in _ASCII_SPECIAL):
-            return None
-    elif _SPECIAL.search(body):
+    if not body.isascii() or any(c in body for c in _SPECIAL):
         return None
     # separators must run comma, newline, comma, ..., comma, with a cell
     # of at least one character before, between and after them
-    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
     seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
     if (
         len(seps) % 2 == 0
@@ -144,8 +141,8 @@ def load_interactions(path):
 
     Duplicate rows collapse to a single pair.  Dense indices are assigned in
     first-seen order, so reloading the same file reproduces the same maps.
-    A plain file (see ``_plain_cells``) is parsed in bulk; any other is
-    read row by row, which also judges and reports malformed rows.
+    A plain file (see ``_plain_cells``) is split into cells in bulk; any
+    other by the line scan, which also judges and reports malformed rows.
 
     Args:
         path: CSV file with header ``user_id,item_id``.
@@ -159,34 +156,22 @@ def load_interactions(path):
     """
     text = _read_text(path)
     cells = _plain_cells(text)
-    if cells is not None:
-        del text
-        users, user_index = _dense_ids(cells[0::2])
-        items, item_index = _dense_ids(cells[1::2])
-        del cells
-        # first occurrence of each pair, in file order
-        _, first = np.unique(
-            users * len(item_index) + items, return_index=True
-        )
-        first.sort()
-        pairs = np.empty((len(first), 2), dtype=np.int64)
-        pairs[:, 0] = users[first]
-        pairs[:, 1] = items[first]
-        return RawInteractions(pairs, user_index, item_index)
-    user_index, item_index = {}, {}
-    seen = set()
-    pairs = []
-    for _, (u_raw, i_raw) in _read_rows(path, ["user_id", "item_id"], text):
-        u = user_index.setdefault(u_raw, len(user_index))
-        i = item_index.setdefault(i_raw, len(item_index))
-        if (u, i) not in seen:
-            seen.add((u, i))
-            pairs.append((u, i))
-    if not pairs:
+    if cells is None:
+        rows = _read_rows(path, ["user_id", "item_id"], text)
+        cells = [cell for _, row in rows for cell in row]
+    del text
+    if not cells:
         raise DataError(f"{path}: empty dataset")
-    return RawInteractions(
-        np.array(pairs, dtype=np.int64), user_index, item_index
-    )
+    users, user_index = _dense_ids(cells[0::2])
+    items, item_index = _dense_ids(cells[1::2])
+    del cells
+    # first occurrence of each pair, in file order
+    _, first = np.unique(users * len(item_index) + items, return_index=True)
+    first.sort()
+    pairs = np.empty((len(first), 2), dtype=np.int64)
+    pairs[:, 0] = users[first]
+    pairs[:, 1] = items[first]
+    return RawInteractions(pairs, user_index, item_index)
 
 
 @dataclass

@@ -61,13 +61,6 @@ def _set_pairs(block, lo, hi, users, items, value):
     block[users[s:e] - lo, items[s:e]] = value
 
 
-def _get_pairs(block, lo, hi, users, items, out):
-    """Copy users lo..hi-1's pairs into their slots of ``out``, which runs
-    parallel to the user-major (users, items) arrays."""
-    s, e = np.searchsorted(users, (lo, hi))
-    out[s:e] = block[users[s:e] - lo, items[s:e]]
-
-
 def _block_buffer(dataset):
     """Room for the largest block's scores (a merged tail adds one row)."""
     return np.empty((min(dataset.num_users, BLOCK_ROWS + 1), dataset.num_items))
@@ -165,6 +158,14 @@ def _hits(dataset, top, split="test"):
     return found & (top >= 0)
 
 
+def _check_catalog(dataset, catalog):
+    if catalog.num_items != dataset.num_items:
+        raise DataError(
+            f"group catalog covers {catalog.num_items} items, "
+            f"dataset has {dataset.num_items}"
+        )
+
+
 def _group_sums(items, catalog):
     """Group memberships summed over ``items``; integer-valued, exact."""
     counts = np.bincount(items, minlength=catalog.num_items)
@@ -189,8 +190,10 @@ def prob_rsp(ranking, dataset, catalog, k=None):
         (A,) array of probabilities.
 
     Raises:
-        DataError: if some group has no eligible items in the denominator.
+        DataError: if the catalog's item count is not the dataset's, or
+            some group has no eligible items in the denominator.
     """
+    _check_catalog(dataset, catalog)
     k, top = _top(ranking, k)
     denom = dataset.num_users * catalog.item_counts.astype(np.float64)
     denom -= _group_sums(dataset.pos_items, catalog)
@@ -205,8 +208,10 @@ def prob_reo(ranking, dataset, catalog, k=None):
         (A,) array of probabilities.
 
     Raises:
-        DataError: if some group has no test positives.
+        DataError: if the catalog's item count is not the dataset's, or
+            some group has no test positives.
     """
+    _check_catalog(dataset, catalog)
     k, top = _top(ranking, k)
     denom = _group_sums(dataset.test_items, catalog)
     return _group_probs(top[_hits(dataset, top)], denom, catalog, "test positives")
@@ -276,12 +281,16 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
     b = np.asarray(samples_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("js_divergence: empty sample")
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
+    return _js_over(a, b, min(a.min(), b.min()), max(a.max(), b.max()), bins)
+
+
+def _js_over(a, b, lo, hi, bins=JS_BINS):
+    """JS divergence of samples ``a`` and ``b`` binned over [lo, hi]; NaN
+    is skipped, and a degenerate range returns 0."""
     if lo == hi:
         return 0.0
-    ca, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    cb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    ca, _ = np.histogram(a, bins, (lo, hi))
+    cb, _ = np.histogram(b, bins, (lo, hi))
     return _js_from_counts(ca, cb)
 
 
@@ -297,12 +306,12 @@ def _js_from_counts(ca, cb):
     )
 
 
-def user_divergence(params, dataset, sample_pairs=1000, seed=0, bins=JS_BINS):
+def user_divergence(params, dataset, sample_pairs=1000, seed=0):
     """Mean JS divergence between sampled user pairs' score distributions.
 
     ``sample_pairs`` (u, v) pairs are drawn uniformly with u != v.  Each user
     is represented by their scores over non-training items; only sampled
-    users are scored.
+    users are scored, once each.
     """
     n = dataset.num_users
     if n < 2:
@@ -323,15 +332,14 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0, bins=JS_BINS):
         raise DataError(
             f"user_divergence: user {int(full[0])} has no non-training items"
         )
-    rows = dict(zip(users.tolist(), _score_matrix(params, users)))
-
-    def rep(u):
-        # made per pair: a copy of every row at once would double the peak
-        return np.delete(rows[u], dataset.train_pos[u])
-
+    scores = _score_matrix(params, users)
+    for row, u in zip(scores, users.tolist()):
+        row[dataset.train_pos[u]] = np.nan
+    lo = np.fmin.reduce(scores, axis=1).tolist()
+    hi = np.fmax.reduce(scores, axis=1).tolist()
     total = 0.0
-    for u, v in zip(us.tolist(), vs.tolist()):
-        total += js_divergence(rep(u), rep(v), bins=bins)
+    for a, b in np.searchsorted(users, np.stack((us, vs), axis=1)).tolist():
+        total += _js_over(scores[a], scores[b], min(lo[a], lo[b]), max(hi[a], hi[b]))
     return total / sample_pairs
 
 
@@ -343,51 +351,70 @@ def _group_members(catalog, items=slice(None)):
 
 
 class _GroupJS:
-    """Mean pairwise JS divergence between per-group score samples, fed a
-    block at a time; ``cols[a]`` picks group a's columns of every block.
+    """Both modes of ``group_divergence`` from one read of the scored
+    blocks; the instance is ``rank_topk``'s ``on_block``.
 
-    Blocks are read twice: by ``widen`` for each group's min and max (NaN
-    skipped), then by ``divergence`` for histogram counts over each group
-    pair's joint range; the bin rule is per value, so counts add up.
+    Each block widens every group's range, gives up its test pairs' scores
+    and, if it is the largest yet, its buffer.  ``all`` then scores the
+    blocks into that buffer a second time for histogram counts over each
+    group pair's joint range; the bin rule is per value, so counts add up.
+    ``positive`` works from the gathered test-pair scores.
     """
 
-    def __init__(self, cols, catalog, mode, bins=JS_BINS):
-        self.cols = cols
-        self.names = catalog.group_names
-        self.mode = mode
-        self.bins = bins
-        self.lo = np.full(len(cols), np.inf)
-        self.hi = np.full(len(cols), -np.inf)
+    def __init__(self, params, dataset, catalog):
+        _check_catalog(dataset, catalog)
+        self.params, self.dataset, self.catalog = params, dataset, catalog
+        self.cols = _group_members(catalog)
+        self.lo = np.full(len(self.cols), np.inf)
+        self.hi = -self.lo
+        self.test_scores = np.empty(len(dataset.test_items))
+        self.buf = None
 
-    def widen(self, x):
-        x_lo = np.fmin.reduce(x, axis=0, initial=np.inf)
-        x_hi = np.fmax.reduce(x, axis=0, initial=-np.inf)
+    def __call__(self, lo, hi, scores):
+        x_lo = np.fmin.reduce(scores, axis=0, initial=np.inf)
+        x_hi = np.fmax.reduce(scores, axis=0, initial=-np.inf)
         for a, c in enumerate(self.cols):
             self.lo[a] = np.fmin.reduce(x_lo[c], initial=self.lo[a])
             self.hi[a] = np.fmax.reduce(x_hi[c], initial=self.hi[a])
+        users, items = self.dataset.test_users, self.dataset.test_items
+        s, e = np.searchsorted(users, (lo, hi))
+        self.test_scores[s:e] = scores[users[s:e] - lo, items[s:e]]
+        if self.buf is None or len(scores) > len(self.buf):
+            self.buf = scores
 
-    def divergence(self, blocks, rows):
-        """JS mean over a second read of the widened blocks, each at most
-        ``rows`` rows."""
-        if len(self.cols) < 2:
+    def all(self):
+        blocks = _train_nan_blocks(self.params, self.dataset, self.buf)
+        x = (block for _, _, block in blocks)
+        return self._mean(self.cols, self.lo, self.hi, x, len(self.buf), "all")
+
+    def positive(self):
+        scores = self.test_scores
+        cols = _group_members(self.catalog, self.dataset.test_items)
+        lo = np.array([np.fmin.reduce(scores[c], initial=np.inf) for c in cols])
+        hi = np.array([np.fmax.reduce(scores[c], initial=-np.inf) for c in cols])
+        return self._mean(cols, lo, hi, [scores[None]], 1, "positive")
+
+    def _mean(self, cols, lo, hi, blocks, rows, mode):
+        """Mean pairwise JS over ``blocks``, each at most ``rows`` rows,
+        with group a's samples in columns ``cols[a]`` and range [lo, hi]."""
+        if len(cols) < 2:
             raise DataError("group_divergence: need at least two groups")
-        lo, hi = self.lo, self.hi
         if (lo > hi).any():
-            bad = self.names[int(np.argmax(lo > hi))]
-            raise DataError(f"group '{bad}' has no scores in mode '{self.mode}'")
-        n = len(self.cols)
+            bad = self.catalog.group_names[int(np.argmax(lo > hi))]
+            raise DataError(f"group '{bad}' has no scores in mode '{mode}'")
+        n = len(cols)
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
         counts = {(a, r): 0 for p, r in zip(pairs, ranges) for a in p}
-        work = np.empty(rows * max(len(c) for c in self.cols))
+        work = np.empty(rows * max(len(c) for c in cols))
         own = [[r for b, r in counts if b == a] for a in range(n)]
         for x in blocks:
-            for a, c in enumerate(self.cols):
+            for a, c in enumerate(cols):
                 part = work[: len(x) * len(c)].reshape(len(x), len(c))
                 # with out=, mode="raise" would copy through a bounce buffer
                 np.take(x, c, axis=1, out=part, mode="clip")
                 for r in own[a]:
-                    counts[a, r] += np.histogram(part, self.bins, r)[0]
+                    counts[a, r] += np.histogram(part, JS_BINS, r)[0]
         js = [
             0.0 if r[0] == r[1] else _js_from_counts(counts[a, r], counts[b, r])
             for (a, b), r in zip(pairs, ranges)
@@ -395,21 +422,7 @@ class _GroupJS:
         return sum(js) / len(js)
 
 
-def _all_divergence(js, params, dataset, buf):
-    """Finish mode "all" once ``js`` has widened over every block: score
-    each block into ``buf`` again, for the counts."""
-    blocks = (block for _, _, block in _train_nan_blocks(params, dataset, buf))
-    return js.divergence(blocks, len(buf))
-
-
-def _positive_divergence(scores, items, catalog, bins=JS_BINS):
-    """Mode "positive" from the test pairs' ``scores`` and ``items``."""
-    js = _GroupJS(_group_members(catalog, items), catalog, "positive", bins)
-    js.widen(scores[None])
-    return js.divergence([scores[None]], 1)
-
-
-def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
+def group_divergence(params, dataset, catalog, mode="all"):
     """Mean pairwise JS divergence between per-group score samples.
 
     mode "all": each group is represented by the scores of every (user,
@@ -418,17 +431,10 @@ def group_divergence(params, dataset, catalog, mode="all", bins=JS_BINS):
     """
     if mode not in ("all", "positive"):
         raise ValueError(f"mode: unknown '{mode}'")
-    buf = _block_buffer(dataset)
-    if mode == "all":
-        js = _GroupJS(_group_members(catalog), catalog, mode, bins)
-        for _, _, block in _train_nan_blocks(params, dataset, buf):
-            js.widen(block)
-        return _all_divergence(js, params, dataset, buf)
-    users, items = dataset.test_users, dataset.test_items
-    scores = np.empty(len(items))
-    for lo, hi, block in _train_nan_blocks(params, dataset, buf):
-        _get_pairs(block, lo, hi, users, items, scores)
-    return _positive_divergence(scores, items, catalog, bins)
+    js = _GroupJS(params, dataset, catalog)
+    for block in _train_nan_blocks(params, dataset, _block_buffer(dataset)):
+        js(*block)
+    return js.all() if mode == "all" else js.positive()
 
 
 def group_ratio_stats(catalog, pairs):
@@ -537,25 +543,13 @@ def evaluate_model(
     ks=(5, 10, 15),
     exclude=EXCLUDE_TRAIN_VAL,
     js_user_pairs=1000,
-    js_seed=0,
 ):
     """Full evaluation of a trained model into a FairnessReport."""
     ks = sorted(int(k) for k in ks)
-    # the ranking's blocks also feed mode "all"'s ranges and the test-pair
-    # scores; only mode "all"'s counts need a second pass
-    js_all = _GroupJS(_group_members(catalog), catalog, "all")
-    test_users, test_items = dataset.test_users, dataset.test_items
-    test_scores = np.empty(len(test_items))
-    largest = []
-
-    def on_block(lo, hi, scores):
-        js_all.widen(scores)
-        _get_pairs(scores, lo, hi, test_users, test_items, test_scores)
-        if not largest or len(scores) > len(largest[0]):
-            largest[:] = [scores]  # the second pass reuses its buffer
-
+    # the ranking's blocks also feed both group divergences
+    js_group = _GroupJS(params, dataset, catalog)
     ranking = rank_topk(
-        params, dataset, max(ks), exclude=exclude, on_block=on_block
+        params, dataset, max(ks), exclude=exclude, on_block=js_group
     )
     rsp = {k: prob_rsp(ranking, dataset, catalog, k=k) for k in ks}
     reo = {k: prob_reo(ranking, dataset, catalog, k=k) for k in ks}
@@ -580,11 +574,9 @@ def evaluate_model(
         reo={k: relative_std(p) for k, p in reo.items()},
         f1={k: f1_at_k(ranking, dataset, k=k) for k in ks},
         ndcg={k: ndcg_at_k(ranking, dataset, k=k) for k in ks},
-        js_user=user_divergence(
-            params, dataset, sample_pairs=js_user_pairs, seed=js_seed
-        ),
-        js_group_all=_all_divergence(js_all, params, dataset, largest[0]),
-        js_group_pos=_positive_divergence(test_scores, test_items, catalog),
+        js_user=user_divergence(params, dataset, sample_pairs=js_user_pairs),
+        js_group_all=js_group.all(),
+        js_group_pos=js_group.positive(),
         group_item_counts=[int(x) for x in item_counts],
         group_feedback_counts=[int(x) for x in feedback],
         group_ratios=[float(x) for x in ratios],

@@ -43,6 +43,11 @@ log = logging.getLogger(__name__)
 MODEL_KINDS = ("bpr", "dpr-rsp", "dpr-reo", "fatr", "reg-rsp", "reg-reo")
 _DPR_KINDS = ("dpr-rsp", "dpr-reo")
 _BASELINE_KINDS = ("fatr", "reg-rsp", "reg-reo")
+# the weights a kind cannot run without, in the order they are checked
+_REQUIRED_WEIGHTS = {
+    **dict.fromkeys(_DPR_KINDS, ("alpha", "beta")),
+    **dict.fromkeys(_BASELINE_KINDS, ("lambda_model", "beta")),
+}
 
 VAL_K = 15
 _COLLAPSE_FRACTION = 0.1
@@ -95,24 +100,9 @@ class TrainConfig:
             v = getattr(w, name)
             if v is not None and v < 0:
                 raise ConfigError(f"train.{name}: must be >= 0")
-        if self.kind in _DPR_KINDS:
-            if w.alpha is None:
-                raise ConfigError(
-                    f"train.alpha required for kind {self.kind}"
-                )
-            if w.beta is None:
-                raise ConfigError(
-                    f"train.beta required for kind {self.kind}"
-                )
-        if self.kind in _BASELINE_KINDS:
-            if w.lambda_model is None:
-                raise ConfigError(
-                    f"train.lambda_model required for kind {self.kind}"
-                )
-            if w.beta is None:
-                raise ConfigError(
-                    f"train.beta required for kind {self.kind}"
-                )
+        for name in _REQUIRED_WEIGHTS.get(self.kind, ()):
+            if getattr(w, name) is None:
+                raise ConfigError(f"train.{name} required for kind {self.kind}")
         if num_groups is not None:
             if self.kind == "fatr" and num_groups >= self.dim:
                 raise ConfigError(

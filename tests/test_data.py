@@ -462,6 +462,28 @@ def test_load_interactions_plain_file_takes_bulk_path(monkeypatch, tmp_path):
         load_interactions(str(crlf))
 
 
+def test_load_interactions_non_ascii_file_takes_line_scan(monkeypatch, tmp_path):
+    import fairrank.data as data
+
+    path = tmp_path / "accents.csv"
+    path.write_text(
+        "user_id,item_id\nzoë,café\nbob,café\nzoë,thé\nzoë,café\n",
+        encoding="utf-8",
+    )
+    want = ref_load_interactions(str(path))
+    got = load_interactions(str(path))
+    assert got.pairs.tobytes() == want.pairs.tobytes()
+    assert list(got.user_index.items()) == list(want.user_index.items())
+    assert list(got.item_index.items()) == list(want.item_index.items())
+
+    def no_line_scan(*args, **kwargs):
+        raise AssertionError("line scan used")
+
+    monkeypatch.setattr(data, "_read_rows", no_line_scan)
+    with pytest.raises(AssertionError, match="line scan used"):
+        load_interactions(str(path))
+
+
 def test_loaders_reject_unreadable_files(tmp_path, small_raw):
     not_utf8 = tmp_path / "latin.csv"
     not_utf8.write_bytes(b"user_id,item_id\na,x\nb,\xff\xfey\n")

@@ -40,6 +40,7 @@ from oracles import (
     ref_report_dict,
     ref_rank_topk,
     ref_report_tsv,
+    ref_user_divergence,
     reference_evaluate_model,
 )
 
@@ -580,3 +581,57 @@ def test_user_divergence_user_without_eligible_items():
     params = init_params(6, 5, 3, seed=0)
     with pytest.raises(DataError, match="^user_divergence: user 0 has no"):
         user_divergence(params, ds, sample_pairs=100, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
+def test_user_divergence_equals_reference(corpus, seed):
+    ds, _ = _IDENTITY_CORPORA[corpus]
+    for name, params in _identity_models(ds).items():
+        got = user_divergence(params, ds, sample_pairs=300, seed=seed)
+        assert got == ref_user_divergence(
+            params, ds, sample_pairs=300, seed=seed
+        ), name
+
+
+def test_user_divergence_equals_reference_on_degenerate_ranges():
+    # users 0 and 1 score every non-training item 0.5, so their joint range
+    # is one point; their training items score elsewhere and must not count
+    rng = np.random.default_rng(4)
+    scores = np.round(rng.normal(size=(6, 8)), 1)
+    scores[:2] = 0.5
+    scores[0, 2], scores[1, 5] = 3.0, -2.0
+    train = [np.array([2]), np.array([5])] + [
+        np.sort(rng.choice(8, size=2, replace=False)) for _ in range(4)
+    ]
+    ds = _dataset(6, 8, train)
+    params = _params_from_scores(scores)
+    for seed in (0, 1, 2):
+        got = user_divergence(params, ds, sample_pairs=200, seed=seed)
+        assert got == ref_user_divergence(
+            params, ds, sample_pairs=200, seed=seed
+        )
+    two = _dataset(2, 8, train[:2])
+    assert user_divergence(_params_from_scores(scores[:2]), two, 20) == 0.0
+
+
+@pytest.mark.parametrize("catalog_items", [25, 15])
+def test_catalog_must_cover_the_datasets_items(catalog_items):
+    # the first 20 rows of the 25-item catalog are the matching catalog's:
+    # unchecked, prob_rsp would return plausible numbers for them
+    rng = np.random.default_rng(2)
+    ds = random_dataset(rng, 30, 20)
+    memberships = random_catalog(rng, 25, 2).memberships[:catalog_items]
+    cat = GroupCatalog(["g0", "g1"], memberships)
+    params = init_params(30, 20, 4, seed=0)
+    ranking = rank_topk(params, ds, 5)
+    want = f"^group catalog covers {catalog_items} items, dataset has 20$"
+    for call in (
+        lambda: prob_rsp(ranking, ds, cat),
+        lambda: prob_reo(ranking, ds, cat),
+        lambda: group_divergence(params, ds, cat, "all"),
+        lambda: group_divergence(params, ds, cat, "positive"),
+        lambda: evaluate_model(params, ds, cat, js_user_pairs=20),
+    ):
+        with pytest.raises(DataError, match=want):
+            call()
