@@ -44,12 +44,23 @@ def _load_dataset(cfg, need_groups=False):
         raise ConfigError("config [data] interactions: required")
     raw = load_interactions(cfg.interactions)
     dataset = split(raw, cfg.ratios, seed=cfg.train.seed)
-    catalog = None
-    if cfg.groups is not None:
-        catalog = load_groups(cfg.groups, raw.item_index)
-    elif need_groups:
+    if cfg.groups is None and need_groups:
         raise ConfigError("config [data] groups: required")
+    catalog = None if cfg.groups is None else load_groups(cfg.groups, raw.item_index)
     return raw, dataset, catalog
+
+
+def _config(args, **kwargs):
+    """The config file, with a --seed override of the training seed."""
+    cfg = load_config(args.config, **kwargs)
+    if args.seed is not None:
+        cfg.train.seed = args.seed
+    return cfg
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _check_dims(params, dataset):
@@ -65,9 +76,7 @@ def _check_dims(params, dataset):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
+    cfg = _config(args)
     if args.out is not None:
         cfg.output_dir = args.out
     _, dataset, catalog = _load_dataset(
@@ -84,10 +93,7 @@ def cmd_train(args):
         adversary=result.adversary,
     )
     result.log.write_csv(os.path.join(run_dir, "trainlog.csv"))
-    with open(
-        os.path.join(run_dir, "config.resolved"), "w", encoding="utf-8"
-    ) as fh:
-        fh.write(cfg.resolved_text())
+    _write_text(os.path.join(run_dir, "config.resolved"), cfg.resolved_text())
     if not np.isnan(result.best_val_f1):
         log.info("best validation f1@15: %r", result.best_val_f1)
     print(f"checkpoint: {ckpt_path}")
@@ -96,9 +102,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
+    cfg = _config(args)
     _, dataset, catalog = _load_dataset(cfg, need_groups=True)
     params, _, _ = load_checkpoint(args.checkpoint)
     _check_dims(params, dataset)
@@ -113,11 +117,8 @@ def cmd_eval(args):
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    tsv_path = os.path.join(out_dir, "report.tsv")
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_tsv(cfg.train.kind))
+    _write_text(json_path, report.to_json())
+    _write_text(os.path.join(out_dir, "report.tsv"), report.to_tsv(cfg.train.kind))
     for k in cfg.eval_ks:
         print(
             f"k={k}\tf1={report.f1[k]:.6g}\trsp={report.rsp[k]:.6g}\t"
@@ -164,13 +165,9 @@ def cmd_sweep(args):
             raise UsageError(
                 f"invalid value '{part}' for parameter {args.parameter}"
             )
-    cfg = load_config(args.config, validate_train=False)
-    if args.seed is not None:
-        cfg.train.seed = args.seed
+    cfg = _config(args, validate_train=False)
     _, dataset, catalog = _load_dataset(cfg, need_groups=True)
-    fair_name = (
-        "reo@15" if cfg.train.kind in ("dpr-reo", "reg-reo") else "rsp@15"
-    )
+    fair = "reo" if cfg.train.kind in ("dpr-reo", "reg-reo") else "rsp"
     rows = []
     for value in values:
         tc = copy.deepcopy(cfg.train)
@@ -188,11 +185,10 @@ def cmd_sweep(args):
             exclude=cfg.eval_exclude,
             js_user_pairs=cfg.js_user_pairs,
         )
-        fair = report.reo[15] if fair_name.startswith("reo") else report.rsp[15]
-        rows.append((value, report.f1[15], fair))
-    print(f"value\tf1@15\t{fair_name}")
-    for value, f1, fair in rows:
-        print(f"{value!r}\t{f1!r}\t{fair!r}")
+        rows.append((value, report.f1[15], getattr(report, fair)[15]))
+    print(f"value\tf1@15\t{fair}@15")
+    for value, f1, spread in rows:
+        print(f"{value!r}\t{f1!r}\t{spread!r}")
     return 0
 
 
@@ -216,8 +212,7 @@ def cmd_synth(args):
     item_names = _names_by_index(raw.item_index)
     rows = zip(user_names[raw.pairs[:, 0]], item_names[raw.pairs[:, 1]])
     ipath = os.path.join(args.out, "interactions.csv")
-    with open(ipath, "w", encoding="utf-8") as fh:
-        fh.write("user_id,item_id\n" + "".join(f"{u},{i}\n" for u, i in rows))
+    _write_text(ipath, "user_id,item_id\n" + "".join(f"{u},{i}\n" for u, i in rows))
     # only items that occur in the interactions survive a reload, so the
     # group file is restricted to them
     used = np.unique(raw.pairs[:, 1])
@@ -225,8 +220,7 @@ def cmd_synth(args):
     group_names = np.array(catalog.group_names, dtype=object)
     rows = zip(item_names[used[item_rows]], group_names[groups])
     gpath = os.path.join(args.out, "groups.csv")
-    with open(gpath, "w", encoding="utf-8") as fh:
-        fh.write("item_id,group\n" + "".join(f"{i},{g}\n" for i, g in rows))
+    _write_text(gpath, "item_id,group\n" + "".join(f"{i},{g}\n" for i, g in rows))
     log.info(
         "synth: %d interactions, %d users, %d of %d items used",
         len(raw.pairs),
@@ -297,19 +291,14 @@ def main(argv=None):
         level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except FairrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

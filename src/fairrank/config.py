@@ -8,6 +8,7 @@ change, seed included, gets a fresh one.
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -34,7 +35,14 @@ def _list(parse):
 
 
 _int = _convert(int, "an integer")
-_float = _convert(float, "a number")
+_number = _convert(float, "a number")
+
+
+def _float(raw):
+    value = _number(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got '{raw}'")
+    return value
 
 
 def _ks(raw):

@@ -8,7 +8,9 @@ works on the dense ids.
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -168,9 +170,7 @@ def load_interactions(path):
     # first occurrence of each pair, in file order
     _, first = np.unique(users * len(item_index) + items, return_index=True)
     first.sort()
-    pairs = np.empty((len(first), 2), dtype=np.int64)
-    pairs[:, 0] = users[first]
-    pairs[:, 1] = items[first]
+    pairs = np.stack((users[first], items[first]), axis=1)
     return RawInteractions(pairs, user_index, item_index)
 
 
@@ -221,91 +221,97 @@ def load_groups(path, item_index):
             raise DataError(
                 f"{path}:{lineno}: item '{i_raw}' not in interaction index"
             )
-        g = names.setdefault(g_raw, len(names))
-        assignments.append((item_index[i_raw], g))
-    num_items = len(item_index)
-    memberships = np.zeros((num_items, len(names)), dtype=np.uint8)
-    for i, g in assignments:
-        memberships[i, g] = 1
-    uncovered = int(np.sum(memberships.sum(axis=1) == 0))
-    if uncovered:
-        first = int(np.flatnonzero(memberships.sum(axis=1) == 0)[0])
+        assignments.append((item_index[i_raw], names.setdefault(g_raw, len(names))))
+    memberships = np.zeros((len(item_index), len(names)), dtype=np.uint8)
+    memberships[tuple(np.array(assignments, dtype=np.int64).reshape(-1, 2).T)] = 1
+    uncovered = np.flatnonzero(memberships.sum(axis=1) == 0)
+    if len(uncovered):
         raise DataError(
-            f"{path}: {uncovered} interaction items have no group "
-            f"(first dense index: {first})"
+            f"{path}: {len(uncovered)} interaction items have no group "
+            f"(first dense index: {uncovered[0]})"
         )
     return GroupCatalog(list(names), memberships)
 
 
-def _flatten(lists):
-    """Per-user item lists -> (users, items) int64 arrays, user-major."""
-    users = np.repeat(
-        np.arange(len(lists), dtype=np.int64), [len(a) for a in lists]
-    )
-    items = (
-        np.concatenate(lists) if len(lists) else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
-    return users, items
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
-@dataclass
+def _rows(items, indptr):
+    """Per-user views ``items[indptr[u]:indptr[u + 1]]``."""
+    bounds = indptr.tolist()
+    return tuple(items[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 class InteractionDataset:
-    """Per-user train/val/test item lists over dense indices.
+    """Train (``pos_*``), val (``val_*``) and test (``test_*``) positives.
 
-    The three lists partition each user's positives.  Sorted per-user arrays
-    keep membership queries logarithmic; encoded pair codes support bulk
-    lookups.  Each split is also held flattened, user-major: ``pos_users``/
-    ``pos_items`` (train), ``val_users``/``val_items`` and ``test_users``/
-    ``test_items``.
+    Each split is held once, as sorted pair codes ``user * M + item``
+    (``pos_codes``), and read through arrays made from them: the pairs
+    ``pos_users``/``pos_items``, user-major, and row offsets ``pos_indptr``
+    (length N + 1), so user u's items are ``pos_items[pos_indptr[u]:
+    pos_indptr[u + 1]]``, ascending.  ``train_sizes`` counts them;
+    ``train_pos``/``val_pos``/``test_pos`` are the rows as views.
     """
 
-    num_users: int
-    num_items: int
-    train_pos: list
-    val_pos: list
-    test_pos: list
-    user_index: dict = field(default_factory=dict)
-    item_index: dict = field(default_factory=dict)
+    def __init__(self, num_users, num_items, train_pos, val_pos, test_pos,
+                 user_index=None, item_index=None):
+        """From per-user item lists, one per user and split, in any order."""
+        keys = []
+        for label, lists in enumerate((train_pos, val_pos, test_pos)):
+            items = np.concatenate([[], *lists]).astype(np.int64)
+            if len(lists) != num_users or ((items < 0) | (items >= num_items)).any():
+                raise DataError(f"dataset: each split needs {num_users} lists "
+                                f"of items in [0, {num_items})")
+            users = np.repeat(np.arange(num_users), [len(a) for a in lists])
+            keys.append((label * num_users + users) * num_items + items)
+        keys = np.sort(np.concatenate(keys))
+        self._build(num_users, num_items, keys, user_index, item_index)
 
-    def __post_init__(self):
-        m = self.num_items
-        self.train_sizes = np.array(
-            [len(a) for a in self.train_pos], dtype=np.int64
-        )
-        # enumeration order: user ascending, item ascending within user
-        self.pos_users, self.pos_items = _flatten(self.train_pos)
-        self.val_users, self.val_items = _flatten(self.val_pos)
-        self.test_users, self.test_items = _flatten(self.test_pos)
-        self._train_codes = np.sort(self.pos_users * m + self.pos_items)
-        self._val_codes = np.sort(self.val_users * m + self.val_items)
-        self._test_codes = np.sort(self.test_users * m + self.test_items)
+    def _build(self, n, m, keys, user_index, item_index):
+        """Every field from ``keys``: the sorted codes ``(split * N + user)
+        * M + item`` of all pairs, split 0 train, 1 val, 2 test."""
+        self.num_users, self.num_items = n, m
+        self.user_index, self.item_index = user_index or {}, item_index or {}
+        bounds = np.searchsorted(keys, np.arange(3 * n + 1) * m)
+
+        def part(label):
+            indptr = bounds[label * n : (label + 1) * n + 1]
+            codes = keys[indptr[0] : indptr[-1]] - label * n * m
+            return map(_frozen, (codes, *np.divmod(codes, m), indptr - indptr[0]))
+
+        self.pos_codes, self.pos_users, self.pos_items, self.pos_indptr = part(0)
+        self.val_codes, self.val_users, self.val_items, self.val_indptr = part(1)
+        self.test_codes, self.test_users, self.test_items, self.test_indptr = part(2)
+        self.train_sizes = _frozen(np.diff(self.pos_indptr))
+
+    train_pos = cached_property(lambda self: _rows(self.pos_items, self.pos_indptr))
+    val_pos = cached_property(lambda self: _rows(self.val_items, self.val_indptr))
+    test_pos = cached_property(lambda self: _rows(self.test_items, self.test_indptr))
 
     @property
     def num_train_pairs(self):
         return len(self.pos_users)
 
-    def _member(self, codes_sorted, users, items):
-        q = (
-            np.asarray(users, dtype=np.int64) * self.num_items
-            + np.asarray(items, dtype=np.int64)
-        )
-        if len(codes_sorted) == 0:
+    def _member(self, codes, users, items):
+        items = np.asarray(items, dtype=np.int64)
+        q = np.asarray(users, dtype=np.int64) * self.num_items + items
+        if len(codes) == 0:
             return np.zeros(q.shape, dtype=bool)
-        pos = np.searchsorted(codes_sorted, q)
-        pos = np.minimum(pos, len(codes_sorted) - 1)
-        return codes_sorted[pos] == q
+        return codes[np.minimum(np.searchsorted(codes, q), len(codes) - 1)] == q
 
     def in_train(self, users, items):
         """Vectorized membership test against training positives."""
-        return self._member(self._train_codes, users, items)
+        return self._member(self.pos_codes, users, items)
 
     def in_val(self, users, items):
         """Vectorized membership test against validation positives."""
-        return self._member(self._val_codes, users, items)
+        return self._member(self.val_codes, users, items)
 
     def in_test(self, users, items):
         """Vectorized membership test against test positives."""
-        return self._member(self._test_codes, users, items)
+        return self._member(self.test_codes, users, items)
 
 
 def split(raw, ratios=DEFAULT_RATIOS, seed=0):
@@ -318,47 +324,47 @@ def split(raw, ratios=DEFAULT_RATIOS, seed=0):
 
     Args:
         raw: RawInteractions (each listed user has >= 1 pair).
-        ratios: (train, val, test) fractions summing to 1.
+        ratios: (train, val, test) finite fractions summing to 1.
         seed: RNG seed; fixes the partition.
 
     Returns:
         InteractionDataset carrying the id maps from ``raw``.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError("ratios: need three non-negative fractions")
+    if len(ratios) != 3 or not all(0 <= r < math.inf for r in ratios):
+        raise ConfigError("ratios: need three finite, non-negative fractions")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios: must sum to 1, got {sum(ratios)}")
     rng = np.random.default_rng(seed)
     n_users, n_items = raw.num_users, raw.num_items
-    # each user's items in file order, which the stable sort keeps
+    # each user's pairs in file order, which the stable sort keeps
     users = raw.pairs[:, 0]
-    grouped = raw.pairs[np.argsort(users, kind="stable"), 1].astype(np.int64)
-    ends = np.cumsum(np.bincount(users, minlength=n_users))
-    per_user = np.split(grouped, ends[:-1])
-    train, val, test = [], [], []
-    dropped = 0
-    for u in range(n_users):
-        items = per_user[u]
-        perm = rng.permutation(len(items))
-        items = items[perm]
-        # floor with epsilon so exact fractional products do not round down
-        n_val = int(len(items) * ratios[1] + 1e-9)
-        n_test = int(len(items) * ratios[2] + 1e-9)
-        n_train = len(items) - n_val - n_test
-        if n_train == 0:
-            dropped += 1
-            train.append(np.empty(0, dtype=np.int64))
-            val.append(np.empty(0, dtype=np.int64))
-            test.append(np.empty(0, dtype=np.int64))
-            continue
-        train.append(np.sort(items[:n_train]))
-        val.append(np.sort(items[n_train : n_train + n_val]))
-        test.append(np.sort(items[n_train + n_val :]))
+    grouped = np.argsort(users, kind="stable")
+    counts = np.bincount(users, minlength=n_users)
+    ends = np.cumsum(counts)
+    first = np.repeat(ends - counts, counts)
+    # place: a pair's position in its user's permutation; slot: the user's
+    # pair, in file order, at that position.  Shuffling each user's run of
+    # 0..count-1 in place draws what rng.permutation(count) draws, and one
+    # such draw per user, in user order, fixes every split.
+    place = np.arange(len(grouped)) - first
+    slot = place.copy()
+    for s, e in zip((ends - counts).tolist(), ends.tolist()):
+        rng.shuffle(slot[s:e])
+    # floor with epsilon so exact fractional products do not round down
+    n_val = (counts * ratios[1] + 1e-9).astype(np.int64)
+    n_test = (counts * ratios[2] + 1e-9).astype(np.int64)
+    n_train = counts - n_val - n_test
+    cut = np.repeat(n_train, counts)
+    label = (place >= cut).astype(np.int64) + (place >= cut + np.repeat(n_val, counts))
+    src = grouped[first + slot]
+    keys = (label * n_users + users[src]) * n_items + raw.pairs[src, 1]
+    dropped = int((n_train == 0).sum())
     if dropped:
         log.info("split: dropped %d users with no training items", dropped)
-    return InteractionDataset(
-        n_users, n_items, train, val, test, raw.user_index, raw.item_index
-    )
+    # the list constructor's `_build`, without the lists
+    ds = InteractionDataset.__new__(InteractionDataset)
+    ds._build(n_users, n_items, np.sort(keys[cut > 0]), raw.user_index, raw.item_index)
+    return ds
 
 
 @dataclass
@@ -508,9 +514,8 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     k = spec.interactions_per_user
     items = _choice_per_user(rng, p, spec.num_users, k)
-    pairs = np.empty((spec.num_users * k, 2), dtype=np.int64)
-    pairs[:, 0] = np.repeat(np.arange(spec.num_users, dtype=np.int64), k)
-    pairs[:, 1] = items.ravel()
+    users = np.repeat(np.arange(spec.num_users, dtype=np.int64), k)
+    pairs = np.stack((users, items.ravel()), axis=1)
     raw = RawInteractions(
         pairs,
         {f"u{n}": n for n in range(spec.num_users)},

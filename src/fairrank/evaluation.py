@@ -55,10 +55,13 @@ def _blocks(n):
     return zip(edges[:-1], edges[1:])
 
 
-def _set_pairs(block, lo, hi, users, items, value):
-    """Set users lo..hi-1's pairs of the user-major (users, items) arrays."""
-    s, e = np.searchsorted(users, (lo, hi))
-    block[users[s:e] - lo, items[s:e]] = value
+def _block_pairs(dataset, split, lo, hi):
+    """(rows, items) of users lo..hi-1's pairs in ``split`` ("pos", "val" or
+    "test"), rows counted from lo, and the slice of the split they fill."""
+    indptr = getattr(dataset, f"{split}_indptr")
+    at = slice(indptr[lo], indptr[hi])
+    users = getattr(dataset, f"{split}_users")[at]
+    return (users - lo, getattr(dataset, f"{split}_items")[at]), at
 
 
 def _block_buffer(dataset):
@@ -70,7 +73,7 @@ def _train_nan_blocks(params, dataset, buf):
     """(lo, hi, scores) per block, scored into ``buf``, NaN on training pairs."""
     for lo, hi in _blocks(dataset.num_users):
         block = _score_matrix(params, slice(lo, hi), out=buf)
-        _set_pairs(block, lo, hi, dataset.pos_users, dataset.pos_items, np.nan)
+        block[_block_pairs(dataset, "pos", lo, hi)[0]] = np.nan
         yield lo, hi, block
 
 
@@ -105,9 +108,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
             f"({params.num_users}x{params.num_items} vs "
             f"{dataset.num_users}x{dataset.num_items})"
         )
-    masked = [(dataset.pos_users, dataset.pos_items)]
-    if exclude == EXCLUDE_TRAIN_VAL:
-        masked.append((dataset.val_users, dataset.val_items))
+    masked = ["pos", "val"] if exclude == EXCLUDE_TRAIN_VAL else ["pos"]
     n = dataset.num_users
     depth = min(k, dataset.num_items) - 1
     items = np.full((n, depth + 1), -1, dtype=np.int64)
@@ -117,8 +118,8 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     for lo, hi, scores in _train_nan_blocks(params, dataset, buf):
         if on_block is not None:
             on_block(lo, hi, scores)
-        for users, cols in masked:
-            _set_pairs(scores, lo, hi, users, cols, -np.inf)
+        for split in masked:
+            scores[_block_pairs(dataset, split, lo, hi)[0]] = -np.inf
         # the key is -score; partition sorts NaN last, like a full sort
         part = np.negative(scores, out=work[: hi - lo])
         part.partition(depth, axis=1)
@@ -152,10 +153,8 @@ def _top(ranking, k):
 
 def _hits(dataset, top, split="test"):
     """(N, k) bool: ranked item is a held-out ``split`` positive (not padding)."""
-    users = np.arange(len(top))[:, None]
     member = dataset.in_test if split == "test" else dataset.in_val
-    found = member(users, top)
-    return found & (top >= 0)
+    return member(np.arange(len(top))[:, None], top) & (top >= 0)
 
 
 def _check_catalog(dataset, catalog):
@@ -237,8 +236,7 @@ def f1_at_k(ranking, dataset, k=None, split="test"):
     if split not in ("test", "val"):
         raise ValueError(f"split: must be 'test' or 'val', got '{split}'")
     k, top = _top(ranking, k)
-    truth = dataset.test_pos if split == "test" else dataset.val_pos
-    sizes = np.array([len(t) for t in truth])
+    sizes = np.diff(dataset.test_indptr if split == "test" else dataset.val_indptr)
     has = sizes > 0
     if not has.any():
         raise DataError(f"f1_at_k: no user has {split} items")
@@ -252,7 +250,7 @@ def f1_at_k(ranking, dataset, k=None, split="test"):
 def ndcg_at_k(ranking, dataset, k=None):
     """Mean per-user NDCG@k with binary relevance and log2 discount."""
     k, top = _top(ranking, k)
-    sizes = np.array([len(t) for t in dataset.test_pos])
+    sizes = np.diff(dataset.test_indptr)
     has = sizes > 0
     if not has.any():
         raise DataError("ndcg_at_k: no user has test items")
@@ -333,8 +331,9 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
             f"user_divergence: user {int(full[0])} has no non-training items"
         )
     scores = _score_matrix(params, users)
+    indptr = dataset.pos_indptr
     for row, u in zip(scores, users.tolist()):
-        row[dataset.train_pos[u]] = np.nan
+        row[dataset.pos_items[indptr[u] : indptr[u + 1]]] = np.nan
     lo = np.fmin.reduce(scores, axis=1).tolist()
     hi = np.fmax.reduce(scores, axis=1).tolist()
     total = 0.0
@@ -376,9 +375,8 @@ class _GroupJS:
         for a, c in enumerate(self.cols):
             self.lo[a] = np.fmin.reduce(x_lo[c], initial=self.lo[a])
             self.hi[a] = np.fmax.reduce(x_hi[c], initial=self.hi[a])
-        users, items = self.dataset.test_users, self.dataset.test_items
-        s, e = np.searchsorted(users, (lo, hi))
-        self.test_scores[s:e] = scores[users[s:e] - lo, items[s:e]]
+        pairs, at = _block_pairs(self.dataset, "test", lo, hi)
+        self.test_scores[at] = scores[pairs]
         if self.buf is None or len(scores) > len(self.buf):
             self.buf = scores
 
@@ -544,7 +542,13 @@ def evaluate_model(
     exclude=EXCLUDE_TRAIN_VAL,
     js_user_pairs=1000,
 ):
-    """Full evaluation of a trained model into a FairnessReport."""
+    """Full evaluation of a trained model into a FairnessReport; DataError
+    if the factors hold a NaN or an infinity, which would rank and score
+    wrongly yet plausibly."""
+    factors = {"user factors": params.user_factors, "item matrix": params.item_matrix()}
+    for name, x in factors.items():
+        if not np.isfinite(x).all():
+            raise DataError(f"evaluate_model: the {name} hold a non-finite value")
     ks = sorted(int(k) for k in ks)
     # the ranking's blocks also feed both group divergences
     js_group = _GroupJS(params, dataset, catalog)
@@ -553,16 +557,9 @@ def evaluate_model(
     )
     rsp = {k: prob_rsp(ranking, dataset, catalog, k=k) for k in ks}
     reo = {k: prob_reo(ranking, dataset, catalog, k=k) for k in ks}
-    pairs = [
-        np.stack(split_pairs, axis=1)
-        for split_pairs in (
-            (dataset.pos_users, dataset.pos_items),
-            (dataset.val_users, dataset.val_items),
-            (dataset.test_users, dataset.test_items),
-        )
-    ]
+    codes = np.concatenate((dataset.pos_codes, dataset.val_codes, dataset.test_codes))
     item_counts, feedback, ratios, ratio_rsd = group_ratio_stats(
-        catalog, np.concatenate(pairs)
+        catalog, np.stack(np.divmod(codes, dataset.num_items), axis=1)
     )
     return FairnessReport(
         ks=ks,

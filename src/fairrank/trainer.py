@@ -76,7 +76,7 @@ class TrainConfig:
     def validate(self, num_groups=None):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"train.model: unknown kind '{self.kind}'")
-        if self.lr_bpr <= 0 or self.lr_adv <= 0:
+        if not (self.lr_bpr > 0 and self.lr_adv > 0):
             raise ConfigError("train.lr_bpr/lr_adv: must be positive")
         minimums = {
             "dim": 1,
@@ -94,11 +94,11 @@ class TrainConfig:
             if getattr(self, name) < minimum:
                 raise ConfigError(f"train.{name}: must be >= {minimum}")
         w = self.weights
-        if w.lambda_theta < 0:
+        if not w.lambda_theta >= 0:
             raise ConfigError("train.lambda_theta: must be >= 0")
         for name in ("alpha", "beta", "lambda_model", "gamma"):
             v = getattr(w, name)
-            if v is not None and v < 0:
+            if v is not None and not v >= 0:
                 raise ConfigError(f"train.{name}: must be >= 0")
         for name in _REQUIRED_WEIGHTS.get(self.kind, ()):
             if getattr(w, name) is None:

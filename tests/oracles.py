@@ -289,14 +289,13 @@ def ref_group_divergence(params, dataset, catalog, mode="all"):
 
 
 def _ref_all_split_pairs(dataset):
-    from fairrank.data import _flatten
-
-    return np.concatenate(
-        [
-            np.stack(_flatten(lists), axis=1)
-            for lists in (dataset.train_pos, dataset.val_pos, dataset.test_pos)
-        ]
-    )
+    pairs = [
+        (u, int(i))
+        for lists in (dataset.train_pos, dataset.val_pos, dataset.test_pos)
+        for u, items in enumerate(lists)
+        for i in items
+    ]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def ref_group_ratio_stats(catalog, pairs):

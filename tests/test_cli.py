@@ -9,7 +9,7 @@ import pytest
 
 from fairrank.cli import main
 from fairrank.data import InteractionDataset, load_groups, load_interactions
-from fairrank.mf import load_checkpoint
+from fairrank.mf import load_checkpoint, save_checkpoint
 
 from conftest import DATA_DIR
 from oracles import brute_rank, brute_rsp
@@ -261,6 +261,21 @@ def test_eval_malformed_checkpoint_is_domain_error(
     assert main(["eval", "--config", ini, "--checkpoint", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+def test_eval_non_finite_checkpoint_is_domain_error(corpus_dir, tmp_path, capsys):
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
+    assert main(["train", "--config", ini]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    params, _, config_hash = load_checkpoint(os.path.join(run_dir, "checkpoint"))
+    params.item_factors[4] = np.nan
+    bad = str(tmp_path / "nan.ckpt")
+    save_checkpoint(bad, params, config_hash)
+    out = tmp_path / "out"
+    assert main(["eval", "--config", ini, "--checkpoint", bad, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "item matrix hold a non-finite" in err
+    assert not out.exists()
 
 
 def test_sweep_table(corpus_dir, tmp_path, capsys):

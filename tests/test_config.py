@@ -210,6 +210,26 @@ def test_full_ini_field_values(tmp_path):
             id="alpha-not-number",
         ),
         pytest.param(
+            "[train]\nlr_bpr = nan\n",
+            "config [train] lr_bpr: must be finite, got 'nan'",
+            id="lr-nan",
+        ),
+        pytest.param(
+            "[train]\nalpha = inf\n",
+            "config [train] alpha: must be finite, got 'inf'",
+            id="alpha-inf",
+        ),
+        pytest.param(
+            "[data]\nval_ratio = nan\n",
+            "config [data] val_ratio: must be finite, got 'nan'",
+            id="ratio-nan",
+        ),
+        pytest.param(
+            SYNTH_INI.replace("0.9,0.3", "0.9,-inf"),
+            "config [synthetic] group_popularity: must be finite, got '-inf'",
+            id="popularity-element-inf",
+        ),
+        pytest.param(
             "[eval]\nks = 5,x\n",
             "config [eval] ks: expected an integer, got 'x'",
             id="ks-bad-element",

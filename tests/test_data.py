@@ -148,6 +148,15 @@ def test_split_bad_ratios(small_raw):
         split(small_raw, ratios=(1.5, -0.25, -0.25))
 
 
+@pytest.mark.parametrize(
+    "ratios", [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5), (0.5, 0.5, np.inf)]
+)
+def test_split_rejects_non_finite_ratios(small_raw, ratios):
+    # NaN passed the sum check: one case dropped every user, one crashed
+    with pytest.raises(ConfigError, match="finite, non-negative"):
+        split(small_raw, ratios=ratios)
+
+
 def test_split_drops_zero_train_users(small_raw, caplog):
     # degenerate ratios: a 2-item user loses everything to val/test
     with caplog.at_level("INFO"):
@@ -175,11 +184,72 @@ def test_split_matches_reference_grouping(corpus, ratios, seed, small_raw):
         order = np.random.default_rng(seed).permutation(len(raw.pairs))
         raw.pairs = raw.pairs[order]
     got = split(raw, ratios=ratios, seed=seed)
+    # ref_split builds its dataset with the list constructor
     want = ref_split(raw, ratios=ratios, seed=seed)
     for name in ("train_pos", "val_pos", "test_pos"):
         for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w), name
+    for name in _FLAT_FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
     assert (got.user_index, got.item_index) == (want.user_index, want.item_index)
+
+
+_FLAT_FIELDS = [
+    f"{split}_{a}"
+    for split in ("pos", "val", "test")
+    for a in ("users", "items", "indptr")
+] + ["train_sizes"]
+
+
+def test_list_constructor_sorts_rows_into_flat_views():
+    from fairrank.data import InteractionDataset
+
+    # user 1 holds nothing; rows arrive unsorted, as lists and arrays
+    train = [[4, 0, 2], [], np.array([3, 1])]
+    val = [[1], [], []]
+    test = [np.array([5, 3]), [0], [5]]
+    ds = InteractionDataset(3, 6, train, val, test)
+    ordered = InteractionDataset(
+        3, 6, *([sorted(row) for row in lists] for lists in (train, val, test))
+    )
+    for name in _FLAT_FIELDS:
+        assert getattr(ds, name).tobytes() == getattr(ordered, name).tobytes()
+    assert ds.pos_indptr.tolist() == [0, 3, 3, 5]
+    assert ds.train_sizes.tolist() == [3, 0, 2]
+    assert [row.tolist() for row in ds.train_pos] == [[0, 2, 4], [], [1, 3]]
+    assert [row.tolist() for row in ds.test_pos] == [[3, 5], [0], [5]]
+    for rows, items in (
+        (ds.train_pos, ds.pos_items),
+        (ds.val_pos, ds.val_items),
+        (ds.test_pos, ds.test_items),
+    ):
+        assert not items.flags.writeable
+        for row in rows:
+            assert not row.flags.writeable
+            if len(row):
+                assert np.shares_memory(row, items)
+    assert ds.train_pos is ds.train_pos  # built once
+    users, items = np.divmod(np.arange(3 * 6), 6)
+    for member in ("in_train", "in_val", "in_test"):
+        got = getattr(ds, member)(users, items)
+        assert np.array_equal(got, getattr(ordered, member)(users, items))
+    assert ds.in_train(users, items).sum() == 5
+
+
+@pytest.mark.parametrize(
+    "lists",
+    [[[0], [1]], [[0], [6], []], [[0], [-1], []]],
+    ids=["one-list-short", "item-too-large", "negative-item"],
+)
+def test_list_constructor_rejects_lists_that_do_not_fit(lists):
+    from fairrank.data import InteractionDataset
+
+    empty = [[]] * 3
+    with pytest.raises(DataError) as err:
+        InteractionDataset(3, 6, lists, empty, empty)
+    assert str(err.value) == "dataset: each split needs 3 lists of items in [0, 6)"
 
 
 def test_membership_helpers(small_raw):

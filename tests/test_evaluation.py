@@ -388,6 +388,23 @@ def test_evaluate_model_prefix_consistency():
         assert report.f1[k] == pytest.approx(f1_at_k(ranking, ds))
 
 
+@pytest.mark.parametrize(
+    "where,value",
+    [("item_factors", np.nan), ("item_factors", -np.inf), ("user_factors", np.nan)],
+)
+def test_evaluate_model_rejects_non_finite_params(where, value):
+    # one bad item row once gave plausible divergences and left it unranked
+    rng = np.random.default_rng(5)
+    ds = random_dataset(rng, 9, 22)
+    cat = random_catalog(rng, 22, 2)
+    params = init_params(9, 22, 4, seed=1)
+    evaluate_model(params, ds, cat, ks=(2,), js_user_pairs=20)
+    getattr(params, where)[3] = value
+    name = "item matrix" if where == "item_factors" else "user factors"
+    with pytest.raises(DataError, match=f"the {name} hold a non-finite value"):
+        evaluate_model(params, ds, cat, ks=(2,), js_user_pairs=20)
+
+
 def _identity_corpus(num_users, num_items, num_groups, seed):
     """Synthetic split with edge users: every fifth user holds all their
     held-out items in test and has 6 or 7 eligible items, list lengths where

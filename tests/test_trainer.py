@@ -79,6 +79,25 @@ def test_validate_basic_errors(mutate, fragment):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ("lr_bpr", "^train.lr_bpr/lr_adv: must be positive$"),
+        ("lr_adv", "^train.lr_bpr/lr_adv: must be positive$"),
+        ("lambda_theta", "^train.lambda_theta: must be >= 0$"),
+        ("alpha", "^train.alpha: must be >= 0$"),
+        ("gamma", "^train.gamma: must be >= 0$"),
+    ],
+)
+def test_validate_rejects_nan(field, message):
+    # NaN fails no "< 0" test, so these checks once let it through
+    cfg = _small_cfg("dpr-rsp", weights=_weights(alpha=1.0, beta=0.5, gamma=0.0))
+    cfg.validate()
+    setattr(cfg.weights if hasattr(cfg.weights, field) else cfg, field, np.nan)
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
+
+
 def test_validate_required_weights():
     cfg = _small_cfg("dpr-rsp", weights=_weights(beta=1.0))
     with pytest.raises(ConfigError, match="alpha required for kind dpr-rsp"):
