@@ -342,28 +342,40 @@ def split(raw, ratios=DEFAULT_RATIOS, seed=0):
     counts = np.bincount(users, minlength=n_users)
     ends = np.cumsum(counts)
     first = np.repeat(ends - counts, counts)
-    # place: a pair's position in its user's permutation; slot: the user's
-    # pair, in file order, at that position.  Shuffling each user's run of
-    # 0..count-1 in place draws what rng.permutation(count) draws, and one
-    # such draw per user, in user order, fixes every split.
-    place = np.arange(len(grouped)) - first
-    slot = place.copy()
+    # slot: at each position of a user's permutation, the user's pair, in
+    # file order, that it holds.  Shuffling each user's run of 0..count-1 in
+    # place draws what rng.permutation(count) draws, and one such draw per
+    # user, in user order, fixes every split.
+    slot = np.arange(len(grouped))
+    slot -= first
     for s, e in zip((ends - counts).tolist(), ends.tolist()):
         rng.shuffle(slot[s:e])
+    slot += first
+    # each pair-length temporary is dropped once spent: split's peak is a
+    # few of them, not ten
+    del first
+    src = grouped[slot]
+    del grouped, slot
     # floor with epsilon so exact fractional products do not round down
     n_val = (counts * ratios[1] + 1e-9).astype(np.int64)
     n_test = (counts * ratios[2] + 1e-9).astype(np.int64)
     n_train = counts - n_val - n_test
-    cut = np.repeat(n_train, counts)
-    label = (place >= cut).astype(np.int64) + (place >= cut + np.repeat(n_val, counts))
-    src = grouped[first + slot]
-    keys = (label * n_users + users[src]) * n_items + raw.pairs[src, 1]
+    # a user's first n_train positions train, the next n_val validate and
+    # the rest test; each position's key is (label * N + user) * M + item
+    keys = users[src].astype(np.int64, copy=False)
+    keys *= n_items
+    keys += raw.pairs[src, 1]
+    del src
+    sizes = np.stack((n_train, n_val, n_test), axis=1).ravel()
+    keys += np.repeat(np.tile(np.arange(3) * n_users * n_items, n_users), sizes)
     dropped = int((n_train == 0).sum())
     if dropped:
         log.info("split: dropped %d users with no training items", dropped)
+        keys = keys[np.repeat(n_train > 0, counts)]
+    keys.sort()
     # the list constructor's `_build`, without the lists
     ds = InteractionDataset.__new__(InteractionDataset)
-    ds._build(n_users, n_items, np.sort(keys[cut > 0]), raw.user_index, raw.item_index)
+    ds._build(n_users, n_items, keys, raw.user_index, raw.item_index)
     return ds
 
 

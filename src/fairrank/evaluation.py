@@ -2,7 +2,9 @@
 
 All metrics work on a RankingResult: per-user top-k item lists ordered by
 score descending with ties broken by ascending item id.  Scores are made
-BLOCK_ROWS users at a time: memory is O(BLOCK_ROWS * M), never N x M.
+a block of users at a time, each block about BLOCK_BYTES of float64 scores
+(at most BLOCK_ROWS rows and at least two): memory is O(BLOCK_BYTES + M)
+whatever N is, never N x M.
 """
 
 import json
@@ -23,6 +25,7 @@ EXCLUDE_TRAIN = "train"
 EXCLUDE_TRAIN_VAL = "train+val"
 
 BLOCK_ROWS = 2048
+BLOCK_BYTES = 8 << 20
 
 
 @dataclass
@@ -48,10 +51,17 @@ def _score_matrix(params, users=slice(None), out=None):
     return np.matmul(u, params.item_matrix().T, out=rows)
 
 
-def _blocks(n):
-    """[lo, hi) user ranges of BLOCK_ROWS rows.  A one-row tail joins the
-    block before it: BLAS scores one row with gemv, which rounds unlike gemm."""
-    edges = list(range(0, max(n - 1, 1), BLOCK_ROWS)) + [n]
+def _block_rows(m):
+    """Rows of M = ``m`` scores per block: BLOCK_BYTES of float64, capped at
+    BLOCK_ROWS, and at least two so that BLAS always runs gemm."""
+    return max(2, min(BLOCK_ROWS, BLOCK_BYTES // (8 * m)))
+
+
+def _blocks(n, m):
+    """[lo, hi) ranges of ``_block_rows(m)`` of ``n`` rows.  A one-row tail
+    joins the block before it: BLAS scores one row with gemv, which rounds
+    unlike gemm."""
+    edges = list(range(0, max(n - 1, 1), _block_rows(m))) + [n]
     return zip(edges[:-1], edges[1:])
 
 
@@ -64,14 +74,14 @@ def _block_pairs(dataset, split, lo, hi):
     return (users - lo, getattr(dataset, f"{split}_items")[at]), at
 
 
-def _block_buffer(dataset):
-    """Room for the largest block's scores (a merged tail adds one row)."""
-    return np.empty((min(dataset.num_users, BLOCK_ROWS + 1), dataset.num_items))
+def _block_buffer(n, m):
+    """Room for the largest of ``_blocks(n, m)`` (a merged tail adds a row)."""
+    return np.empty((min(n, _block_rows(m) + 1), m))
 
 
 def _train_nan_blocks(params, dataset, buf):
     """(lo, hi, scores) per block, scored into ``buf``, NaN on training pairs."""
-    for lo, hi in _blocks(dataset.num_users):
+    for lo, hi in _blocks(dataset.num_users, dataset.num_items):
         block = _score_matrix(params, slice(lo, hi), out=buf)
         block[_block_pairs(dataset, "pos", lo, hi)[0]] = np.nan
         yield lo, hi, block
@@ -113,7 +123,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     depth = min(k, dataset.num_items) - 1
     items = np.full((n, depth + 1), -1, dtype=np.int64)
     lengths = np.empty(n, dtype=np.int64)
-    buf = _block_buffer(dataset)
+    buf = _block_buffer(n, dataset.num_items)
     work = np.empty_like(buf)
     for lo, hi, scores in _train_nan_blocks(params, dataset, buf):
         if on_block is not None:
@@ -279,12 +289,7 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
     b = np.asarray(samples_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("js_divergence: empty sample")
-    return _js_over(a, b, min(a.min(), b.min()), max(a.max(), b.max()), bins)
-
-
-def _js_over(a, b, lo, hi, bins=JS_BINS):
-    """JS divergence of samples ``a`` and ``b`` binned over [lo, hi]; NaN
-    is skipped, and a degenerate range returns 0."""
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
     if lo == hi:
         return 0.0
     ca, _ = np.histogram(a, bins, (lo, hi))
@@ -308,8 +313,9 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
     """Mean JS divergence between sampled user pairs' score distributions.
 
     ``sample_pairs`` (u, v) pairs are drawn uniformly with u != v.  Each user
-    is represented by their scores over non-training items; only sampled
-    users are scored, once each.
+    is represented by their scores over non-training items.  Only sampled
+    users are scored, in blocks: a first pass takes each user's score range,
+    a second each pair side's histogram over the pair's joint range.
     """
     n = dataset.num_users
     if n < 2:
@@ -330,16 +336,41 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
         raise DataError(
             f"user_divergence: user {int(full[0])} has no non-training items"
         )
-    scores = _score_matrix(params, users)
+    # each pair's two rows in users
+    sides = np.searchsorted(users, np.stack((us, vs), axis=1))
+    blocks = list(_blocks(len(users), dataset.num_items))
+    buf = _block_buffer(len(users), dataset.num_items)
+    lo, hi = np.empty((2, len(users)))
+    for a, b in blocks:
+        scores = _eligible_scores(params, dataset, users[a:b], buf)
+        np.fmin.reduce(scores, axis=1, out=lo[a:b])
+        np.fmax.reduce(scores, axis=1, out=hi[a:b])
+    lo, hi = lo.tolist(), hi.tolist()
+    ranges = [(min(lo[u], lo[v]), max(hi[u], hi[v])) for u, v in sides.tolist()]
+    counts = np.zeros((sample_pairs, 2, JS_BINS), dtype=np.int64)
+    # backwards, so that the last block's scores, still in buf, serve first
+    for i, (a, b) in enumerate(reversed(blocks)):
+        if i:
+            scores = _eligible_scores(params, dataset, users[a:b], buf)
+        for p, side in np.argwhere((sides >= a) & (sides < b)).tolist():
+            r = ranges[p]
+            if r[0] != r[1]:
+                row = scores[sides[p, side] - a]
+                counts[p, side] = np.histogram(row, JS_BINS, r)[0]
+    total = 0.0
+    for r, (ca, cb) in zip(ranges, counts):
+        total += 0.0 if r[0] == r[1] else _js_from_counts(ca, cb)
+    return total / sample_pairs
+
+
+def _eligible_scores(params, dataset, users, out):
+    """Scores of the ``users`` (an index array) in the leading rows of
+    ``out``, NaN on each user's training items."""
+    scores = _score_matrix(params, users, out=out)
     indptr = dataset.pos_indptr
     for row, u in zip(scores, users.tolist()):
         row[dataset.pos_items[indptr[u] : indptr[u + 1]]] = np.nan
-    lo = np.fmin.reduce(scores, axis=1).tolist()
-    hi = np.fmax.reduce(scores, axis=1).tolist()
-    total = 0.0
-    for a, b in np.searchsorted(users, np.stack((us, vs), axis=1)).tolist():
-        total += _js_over(scores[a], scores[b], min(lo[a], lo[b]), max(hi[a], hi[b]))
-    return total / sample_pairs
+    return scores
 
 
 def _group_members(catalog, items=slice(None)):
@@ -430,7 +461,8 @@ def group_divergence(params, dataset, catalog, mode="all"):
     if mode not in ("all", "positive"):
         raise ValueError(f"mode: unknown '{mode}'")
     js = _GroupJS(params, dataset, catalog)
-    for block in _train_nan_blocks(params, dataset, _block_buffer(dataset)):
+    buf = _block_buffer(dataset.num_users, dataset.num_items)
+    for block in _train_nan_blocks(params, dataset, buf):
         js(*block)
     return js.all() if mode == "all" else js.positive()
 

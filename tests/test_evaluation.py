@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,13 +455,28 @@ def _identity_models(ds):
 def test_blocks_cover_users_without_single_row_blocks(rows, monkeypatch):
     # BLAS scores a lone row with gemv, which rounds unlike a block's gemm
     monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
-    for n in range(1, 3 * rows + 3):
-        blocks = list(evaluation._blocks(n))
-        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-        assert blocks[-1][1] == n
-        sizes = [hi - lo for lo, hi in blocks]
-        assert max(sizes) <= rows + 1
-        assert min(sizes) >= min(n, 2)
+    # at 10**6 items the byte budget, not BLOCK_ROWS, sets two rows a block
+    for m, want in ((40, rows), (10**6, 2)):
+        assert evaluation._block_rows(m) == want
+        for n in range(1, 3 * rows + 3):
+            blocks = list(evaluation._blocks(n, m))
+            assert [lo for lo, _ in blocks] == [0] + [
+                hi for _, hi in blocks[:-1]
+            ]
+            assert blocks[-1][1] == n
+            sizes = [hi - lo for lo, hi in blocks]
+            assert max(sizes) <= want + 1
+            assert min(sizes) >= min(n, 2)
+            assert len(evaluation._block_buffer(n, m)) >= max(sizes)
+
+
+def test_block_rows_follow_the_byte_budget():
+    # 2 rows of 10**6 items, where 2048 would ask for 16 GB a buffer
+    m = 10**6
+    assert evaluation._block_rows(m) == 2
+    assert evaluation._block_buffer(10**5, m).nbytes <= 3 * 8 * m
+    assert evaluation._block_rows(5000) == 209
+    assert evaluation._block_rows(200) == evaluation.BLOCK_ROWS
 
 
 # block sizes: tiny, odd, mid, the whole corpus, and N - 1, which leaves a
@@ -490,6 +506,22 @@ def test_evaluate_model_matches_reference_bytes(
         ], name
 
 
+@pytest.mark.parametrize("rows", [2, 5, 33])
+@pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
+def test_evaluate_model_matches_reference_bytes_under_byte_budget(
+    corpus, rows, monkeypatch
+):
+    # the budget, not BLOCK_ROWS, sets the rows; 7 spare bytes buy no row
+    ds, cat = _IDENTITY_CORPORA[corpus]
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", rows * 8 * ds.num_items + 7)
+    assert evaluation._block_rows(ds.num_items) == rows
+    for name, params in _identity_models(ds).items():
+        kwargs = dict(ks=(1, 5, 15), js_user_pairs=200)
+        got = evaluate_model(params, ds, cat, **kwargs)
+        want = reference_evaluate_model(params, ds, cat, **kwargs)
+        assert got.to_json() == want.to_json(), name
+
+
 _BLOCKS = [2, 3, 64, "n", "n-1"]
 
 
@@ -500,22 +532,28 @@ def _block_rows(block, n):
 @pytest.mark.parametrize("block", _BLOCKS)
 def test_evaluate_model_scores_each_block_twice(block, monkeypatch):
     # one pass feeds the ranking, mode "all"'s ranges and the test pairs;
-    # the second counts mode "all"'s histograms; user_divergence adds one
+    # the second counts mode "all"'s histograms.  user_divergence scores its
+    # sampled users (an index array) in blocks twice, but its last block once
     ds, cat = _IDENTITY_CORPORA["3groups"]
+    m = ds.num_items
     monkeypatch.setattr(
         evaluation, "BLOCK_ROWS", _block_rows(block, ds.num_users)
     )
     calls = []
     score = evaluation._score_matrix
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return score(*args, **kwargs)
+    def counted(params, users=slice(None), out=None):
+        calls.append(users)
+        return score(params, users, out=out)
 
     monkeypatch.setattr(evaluation, "_score_matrix", counted)
     params = _identity_models(ds)["random"]
     evaluate_model(params, ds, cat, js_user_pairs=50)
-    assert len(calls) == 2 * len(list(evaluation._blocks(ds.num_users))) + 1
+    ranges = [u for u in calls if isinstance(u, slice)]
+    sampled = [u for u in calls if not isinstance(u, slice)]
+    assert len(ranges) == 2 * len(list(evaluation._blocks(ds.num_users, m)))
+    n_sampled = len(np.unique(np.concatenate(sampled)))
+    assert len(sampled) == 2 * len(list(evaluation._blocks(n_sampled, m))) - 1
 
 
 @pytest.mark.parametrize("block", _BLOCKS)
@@ -609,6 +647,76 @@ def test_user_divergence_equals_reference(corpus, seed):
         assert got == ref_user_divergence(
             params, ds, sample_pairs=300, seed=seed
         ), name
+
+
+def _sampled_pairs(n, sample_pairs, seed):
+    """user_divergence's draw of (u, v) pairs, u != v."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n, size=sample_pairs)
+    vs = rng.integers(0, n, size=sample_pairs)
+    clash = us == vs
+    while clash.any():
+        vs[clash] = rng.integers(0, n, size=int(clash.sum()))
+        clash = us == vs
+    return us, vs
+
+
+@pytest.mark.parametrize("rows", [2, 3, 64])
+@pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
+def test_user_divergence_in_blocks_equals_reference(corpus, rows, monkeypatch):
+    ds, _ = _IDENTITY_CORPORA[corpus]
+    n, m = ds.num_users, ds.num_items
+    monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
+    scored = []
+    score = evaluation._score_matrix
+
+    def counted(params, users=slice(None), out=None):
+        got = score(params, users, out=out)
+        scored.append(len(got))
+        return got
+
+    monkeypatch.setattr(evaluation, "_score_matrix", counted)
+    models = _identity_models(ds)
+    # every third user scores every item 0.5: two such users make a pair
+    # whose joint range is one point
+    flat = np.round(np.random.default_rng(1).normal(size=(n, m)), 1)
+    flat[::3] = 0.5
+    models["flat"] = _params_from_scores(flat)
+    for seed in (0, 1, 2):
+        us, vs = _sampled_pairs(n, 300, seed)
+        users = np.unique(np.concatenate((us, vs)))
+        block = np.empty(n, dtype=np.int64)
+        for i, (lo, hi) in enumerate(evaluation._blocks(len(users), m)):
+            block[users[lo:hi]] = i
+        assert (block[us] != block[vs]).any()
+        assert ((us % 3 == 0) & (vs % 3 == 0)).any()
+        for name, params in models.items():
+            got = user_divergence(params, ds, sample_pairs=300, seed=seed)
+            assert got == ref_user_divergence(
+                params, ds, sample_pairs=300, seed=seed
+            ), (name, seed)
+    # a block is at most the rule's rows, plus a one-row tail it took in
+    assert max(scored) <= evaluation._block_rows(m) + 1 == rows + 1
+
+
+def test_evaluate_model_memory_follows_the_byte_budget():
+    # one (2048, M) block would be 62.5 MiB here, and one matrix of the
+    # 1446 sampled users 44 MiB
+    rng = np.random.default_rng(0)
+    n, m = 3000, 4000
+    ds = random_dataset(rng, n, m)
+    cat = random_catalog(rng, m, 2)
+    params = init_params(n, m, 8, seed=0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = evaluate_model(params, ds, cat)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    ranking = n * max(report.ks) * 8
+    assert peak <= 4 * evaluation.BLOCK_BYTES + ranking
 
 
 def test_user_divergence_equals_reference_on_degenerate_ranges():
