@@ -2,9 +2,11 @@
 
 All metrics work on a RankingResult: per-user top-k item lists ordered by
 score descending with ties broken by ascending item id.  Scores are made
-a block of users at a time, each block about BLOCK_BYTES of float64 scores
-(at most BLOCK_ROWS rows and at least two): memory is O(BLOCK_BYTES + M)
-whatever N is, never N x M.
+a block of users at a time by one generator, ``_train_nan_blocks``, each
+block about BLOCK_BYTES of float64 scores (at least two rows) with the
+training pairs NaN: memory is O(BLOCK_BYTES + M) whatever N is, never
+N x M.  Every JS divergence, of users or of groups, is counted and summed
+by one routine, ``_mean_js``.
 """
 
 import json
@@ -24,7 +26,6 @@ JS_EPS = 1e-10
 EXCLUDE_TRAIN = "train"
 EXCLUDE_TRAIN_VAL = "train+val"
 
-BLOCK_ROWS = 2048
 BLOCK_BYTES = 8 << 20
 
 
@@ -52,9 +53,9 @@ def _score_matrix(params, users=slice(None), out=None):
 
 
 def _block_rows(m):
-    """Rows of M = ``m`` scores per block: BLOCK_BYTES of float64, capped at
-    BLOCK_ROWS, and at least two so that BLAS always runs gemm."""
-    return max(2, min(BLOCK_ROWS, BLOCK_BYTES // (8 * m)))
+    """Rows of M = ``m`` scores per block: BLOCK_BYTES of float64, and at
+    least two so that BLAS always runs gemm."""
+    return max(2, BLOCK_BYTES // (8 * m))
 
 
 def _blocks(n, m):
@@ -65,26 +66,36 @@ def _blocks(n, m):
     return zip(edges[:-1], edges[1:])
 
 
-def _block_pairs(dataset, split, lo, hi):
-    """(rows, items) of users lo..hi-1's pairs in ``split`` ("pos", "val" or
-    "test"), rows counted from lo, and the slice of the split they fill."""
+def _block_pairs(dataset, split, users):
+    """(rows, items) of the ascending ``users``' pairs in ``split`` ("pos",
+    "val" or "test"), rows counted in ``users``, and their positions in the
+    split."""
     indptr = getattr(dataset, f"{split}_indptr")
-    at = slice(indptr[lo], indptr[hi])
-    users = getattr(dataset, f"{split}_users")[at]
-    return (users - lo, getattr(dataset, f"{split}_items")[at]), at
+    start = indptr[users]
+    sizes = indptr[users + 1] - start
+    rows = np.repeat(np.arange(len(users)), sizes)
+    # pair j of row r sits at start[r] + j, and j = j_total - (pairs before r)
+    at = np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
+    at += np.arange(len(at))
+    return (rows, getattr(dataset, f"{split}_items")[at]), at
 
 
 def _block_buffer(n, m):
-    """Room for the largest of ``_blocks(n, m)`` (a merged tail adds a row)."""
-    return np.empty((min(n, _block_rows(m) + 1), m))
+    """Room for the largest of ``_blocks(n, m)``."""
+    return np.empty((max(hi - lo for lo, hi in _blocks(n, m)), m))
 
 
-def _train_nan_blocks(params, dataset, buf):
-    """(lo, hi, scores) per block, scored into ``buf``, NaN on training pairs."""
-    for lo, hi in _blocks(dataset.num_users, dataset.num_items):
-        block = _score_matrix(params, slice(lo, hi), out=buf)
-        block[_block_pairs(dataset, "pos", lo, hi)[0]] = np.nan
-        yield lo, hi, block
+def _train_nan_blocks(params, dataset, users=None):
+    """(a, b, scores) per block of ``users[a:b]`` (ascending ids; every user
+    by default): their scores, NaN on training pairs, in a buffer that the
+    next block overwrites."""
+    n = dataset.num_users if users is None else len(users)
+    buf = _block_buffer(n, dataset.num_items)
+    for a, b in _blocks(n, dataset.num_items):
+        ids = np.arange(a, b) if users is None else users[a:b]
+        scores = _score_matrix(params, ids, out=buf)
+        scores[_block_pairs(dataset, "pos", ids)[0]] = np.nan
+        yield a, b, scores
 
 
 def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
@@ -123,13 +134,12 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     depth = min(k, dataset.num_items) - 1
     items = np.full((n, depth + 1), -1, dtype=np.int64)
     lengths = np.empty(n, dtype=np.int64)
-    buf = _block_buffer(n, dataset.num_items)
-    work = np.empty_like(buf)
-    for lo, hi, scores in _train_nan_blocks(params, dataset, buf):
+    work = _block_buffer(n, dataset.num_items)
+    for lo, hi, scores in _train_nan_blocks(params, dataset):
         if on_block is not None:
             on_block(lo, hi, scores)
         for split in masked:
-            scores[_block_pairs(dataset, split, lo, hi)[0]] = -np.inf
+            scores[_block_pairs(dataset, split, np.arange(lo, hi))[0]] = -np.inf
         # the key is -score; partition sorts NaN last, like a full sort
         part = np.negative(scores, out=work[: hi - lo])
         part.partition(depth, axis=1)
@@ -289,24 +299,37 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
     b = np.asarray(samples_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("js_divergence: empty sample")
-    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
-    if lo == hi:
-        return 0.0
-    ca, _ = np.histogram(a, bins, (lo, hi))
-    cb, _ = np.histogram(b, bins, (lo, hi))
-    return _js_from_counts(ca, cb)
+    lo, hi = [a.min(), b.min()], [a.max(), b.max()]
+    return _mean_js(lo, hi, [(0, 1)], [(0, a), (1, b)], bins)
 
 
-def _js_from_counts(ca, cb):
-    """JS divergence of two histograms over the same bins."""
-    p = ca.astype(np.float64) + JS_EPS
-    q = cb.astype(np.float64) + JS_EPS
-    p /= p.sum()
-    q /= q.sum()
-    mid = 0.5 * (p + q)
-    return float(
-        0.5 * np.sum(p * np.log(p / mid)) + 0.5 * np.sum(q * np.log(q / mid))
-    )
+def _mean_js(lo, hi, pairs, samples, bins):
+    """Mean JS divergence over ``pairs`` (a, b) of samples, sample a in
+    [lo[a], hi[a]].  ``samples`` yields (a, values) chunks, each read before
+    the next is drawn, and a chunk is histogrammed once per joint range of
+    its sample's pairs.  The bin rule is per value (NaN counts nowhere), so
+    counts add up over a sample's chunks.  A pair whose joint range is one
+    point is never counted: both its sides stay 0, so its divergence is
+    exactly 0."""
+    sides = np.ravel(pairs)
+    ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
+    # row j of counts is side j % 2 of pair j // 2
+    counts = np.zeros((len(sides), bins), dtype=np.int64)
+    for a, x in samples:
+        made = {}
+        for j in np.flatnonzero(sides == a).tolist():
+            r = ranges[j // 2]
+            if r[0] != r[1]:
+                if r not in made:
+                    made[r] = np.histogram(x, bins, r)[0]
+                counts[j] += made[r]
+    total = 0.0
+    for pq in counts.reshape(-1, 2, bins):
+        pq = pq + JS_EPS
+        pq /= pq.sum(axis=1, keepdims=True)
+        kl = (pq * np.log(pq / (0.5 * (pq[0] + pq[1])))).sum(axis=1)
+        total += float(0.5 * kl[0] + 0.5 * kl[1])
+    return total / len(ranges)
 
 
 def user_divergence(params, dataset, sample_pairs=1000, seed=0):
@@ -315,7 +338,7 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
     ``sample_pairs`` (u, v) pairs are drawn uniformly with u != v.  Each user
     is represented by their scores over non-training items.  Only sampled
     users are scored, in blocks: a first pass takes each user's score range,
-    a second each pair side's histogram over the pair's joint range.
+    a second each user's histograms over the joint ranges of its pairs.
     """
     n = dataset.num_users
     if n < 2:
@@ -336,41 +359,20 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
         raise DataError(
             f"user_divergence: user {int(full[0])} has no non-training items"
         )
-    # each pair's two rows in users
-    sides = np.searchsorted(users, np.stack((us, vs), axis=1))
-    blocks = list(_blocks(len(users), dataset.num_items))
-    buf = _block_buffer(len(users), dataset.num_items)
     lo, hi = np.empty((2, len(users)))
-    for a, b in blocks:
-        scores = _eligible_scores(params, dataset, users[a:b], buf)
+    for a, b, scores in _train_nan_blocks(params, dataset, users):
         np.fmin.reduce(scores, axis=1, out=lo[a:b])
         np.fmax.reduce(scores, axis=1, out=hi[a:b])
+    del scores  # the first pass's buffer; the second makes its own
     lo, hi = lo.tolist(), hi.tolist()
-    ranges = [(min(lo[u], lo[v]), max(hi[u], hi[v])) for u, v in sides.tolist()]
-    counts = np.zeros((sample_pairs, 2, JS_BINS), dtype=np.int64)
-    # backwards, so that the last block's scores, still in buf, serve first
-    for i, (a, b) in enumerate(reversed(blocks)):
-        if i:
-            scores = _eligible_scores(params, dataset, users[a:b], buf)
-        for p, side in np.argwhere((sides >= a) & (sides < b)).tolist():
-            r = ranges[p]
-            if r[0] != r[1]:
-                row = scores[sides[p, side] - a]
-                counts[p, side] = np.histogram(row, JS_BINS, r)[0]
-    total = 0.0
-    for r, (ca, cb) in zip(ranges, counts):
-        total += 0.0 if r[0] == r[1] else _js_from_counts(ca, cb)
-    return total / sample_pairs
-
-
-def _eligible_scores(params, dataset, users, out):
-    """Scores of the ``users`` (an index array) in the leading rows of
-    ``out``, NaN on each user's training items."""
-    scores = _score_matrix(params, users, out=out)
-    indptr = dataset.pos_indptr
-    for row, u in zip(scores, users.tolist()):
-        row[dataset.pos_items[indptr[u] : indptr[u + 1]]] = np.nan
-    return scores
+    rows = (
+        (a + i, row)
+        for a, _, scores in _train_nan_blocks(params, dataset, users)
+        for i, row in enumerate(scores)
+    )
+    # each pair's two rows in users
+    sides = np.searchsorted(users, np.stack((us, vs), axis=1))
+    return _mean_js(lo, hi, sides, rows, JS_BINS)
 
 
 def _group_members(catalog, items=slice(None)):
@@ -384,11 +386,9 @@ class _GroupJS:
     """Both modes of ``group_divergence`` from one read of the scored
     blocks; the instance is ``rank_topk``'s ``on_block``.
 
-    Each block widens every group's range, gives up its test pairs' scores
-    and, if it is the largest yet, its buffer.  ``all`` then scores the
-    blocks into that buffer a second time for histogram counts over each
-    group pair's joint range; the bin rule is per value, so counts add up.
-    ``positive`` works from the gathered test-pair scores.
+    Each block widens every group's range and gives up its test pairs'
+    scores.  ``all`` then scores the blocks a second time for each group's
+    histogram counts; ``positive`` works from the gathered test-pair scores.
     """
 
     def __init__(self, params, dataset, catalog):
@@ -398,7 +398,6 @@ class _GroupJS:
         self.lo = np.full(len(self.cols), np.inf)
         self.hi = -self.lo
         self.test_scores = np.empty(len(dataset.test_items))
-        self.buf = None
 
     def __call__(self, lo, hi, scores):
         x_lo = np.fmin.reduce(scores, axis=0, initial=np.inf)
@@ -406,49 +405,42 @@ class _GroupJS:
         for a, c in enumerate(self.cols):
             self.lo[a] = np.fmin.reduce(x_lo[c], initial=self.lo[a])
             self.hi[a] = np.fmax.reduce(x_hi[c], initial=self.hi[a])
-        pairs, at = _block_pairs(self.dataset, "test", lo, hi)
+        pairs, at = _block_pairs(self.dataset, "test", np.arange(lo, hi))
         self.test_scores[at] = scores[pairs]
-        if self.buf is None or len(scores) > len(self.buf):
-            self.buf = scores
 
     def all(self):
-        blocks = _train_nan_blocks(self.params, self.dataset, self.buf)
-        x = (block for _, _, block in blocks)
-        return self._mean(self.cols, self.lo, self.hi, x, len(self.buf), "all")
+        n, m = self.dataset.num_users, self.dataset.num_items
+        work = np.empty(len(_block_buffer(n, m)) * max(map(len, self.cols)))
+
+        def columns():
+            for _, _, x in _train_nan_blocks(self.params, self.dataset):
+                for a, c in enumerate(self.cols):
+                    part = work[: len(x) * len(c)].reshape(len(x), len(c))
+                    # with out=, mode="raise" would copy through a bounce buffer
+                    np.take(x, c, axis=1, out=part, mode="clip")
+                    yield a, part
+
+        return self._mean(self.lo, self.hi, columns(), "all")
 
     def positive(self):
         scores = self.test_scores
         cols = _group_members(self.catalog, self.dataset.test_items)
         lo = np.array([np.fmin.reduce(scores[c], initial=np.inf) for c in cols])
         hi = np.array([np.fmax.reduce(scores[c], initial=-np.inf) for c in cols])
-        return self._mean(cols, lo, hi, [scores[None]], 1, "positive")
+        chunks = ((a, scores[c]) for a, c in enumerate(cols))
+        return self._mean(lo, hi, chunks, "positive")
 
-    def _mean(self, cols, lo, hi, blocks, rows, mode):
-        """Mean pairwise JS over ``blocks``, each at most ``rows`` rows,
-        with group a's samples in columns ``cols[a]`` and range [lo, hi]."""
-        if len(cols) < 2:
+    def _mean(self, lo, hi, chunks, mode):
+        """Mean JS over every group pair, group a's samples drawn from
+        ``chunks`` and in range [lo[a], hi[a]]."""
+        n = len(lo)
+        if n < 2:
             raise DataError("group_divergence: need at least two groups")
         if (lo > hi).any():
             bad = self.catalog.group_names[int(np.argmax(lo > hi))]
             raise DataError(f"group '{bad}' has no scores in mode '{mode}'")
-        n = len(cols)
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
-        counts = {(a, r): 0 for p, r in zip(pairs, ranges) for a in p}
-        work = np.empty(rows * max(len(c) for c in cols))
-        own = [[r for b, r in counts if b == a] for a in range(n)]
-        for x in blocks:
-            for a, c in enumerate(cols):
-                part = work[: len(x) * len(c)].reshape(len(x), len(c))
-                # with out=, mode="raise" would copy through a bounce buffer
-                np.take(x, c, axis=1, out=part, mode="clip")
-                for r in own[a]:
-                    counts[a, r] += np.histogram(part, JS_BINS, r)[0]
-        js = [
-            0.0 if r[0] == r[1] else _js_from_counts(counts[a, r], counts[b, r])
-            for (a, b), r in zip(pairs, ranges)
-        ]
-        return sum(js) / len(js)
+        return _mean_js(lo, hi, pairs, chunks, JS_BINS)
 
 
 def group_divergence(params, dataset, catalog, mode="all"):
@@ -461,9 +453,9 @@ def group_divergence(params, dataset, catalog, mode="all"):
     if mode not in ("all", "positive"):
         raise ValueError(f"mode: unknown '{mode}'")
     js = _GroupJS(params, dataset, catalog)
-    buf = _block_buffer(dataset.num_users, dataset.num_items)
-    for block in _train_nan_blocks(params, dataset, buf):
+    for block in _train_nan_blocks(params, dataset):
         js(*block)
+    del block  # the sweep's buffer; mode "all" makes its own
     return js.all() if mode == "all" else js.positive()
 
 
@@ -566,6 +558,12 @@ class FairnessReport:
         return "".join(f"{k}\t{m}\t{model}\t{v!r}\n" for k, m, v in rows)
 
 
+def _spread(metric, k, probs):
+    if not probs.any():
+        raise DataError(f"{metric}@{k}: undefined, every group's probability is 0")
+    return relative_std(probs)
+
+
 def evaluate_model(
     params,
     dataset,
@@ -599,8 +597,8 @@ def evaluate_model(
         exclude=exclude,
         group_probs_rsp={k: [float(x) for x in p] for k, p in rsp.items()},
         group_probs_reo={k: [float(x) for x in p] for k, p in reo.items()},
-        rsp={k: relative_std(p) for k, p in rsp.items()},
-        reo={k: relative_std(p) for k, p in reo.items()},
+        rsp={k: _spread("rsp", k, p) for k, p in rsp.items()},
+        reo={k: _spread("reo", k, p) for k, p in reo.items()},
         f1={k: f1_at_k(ranking, dataset, k=k) for k in ks},
         ndcg={k: ndcg_at_k(ranking, dataset, k=k) for k in ks},
         js_user=user_divergence(params, dataset, sample_pairs=js_user_pairs),

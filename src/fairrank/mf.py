@@ -254,7 +254,11 @@ def load_checkpoint(path):
         needed = ["user_factors", "item_factors"]
     n_layers = 0
     if header.get("adversary"):
-        n_layers = header["adversary"]["num_layers"]
+        meta = header["adversary"]
+        n_layers = meta.get("num_layers") if isinstance(meta, dict) else None
+        # bool is an int too; an adversary has at least its output layer
+        if type(n_layers) is not int or n_layers < 1:
+            raise DataError(f"{path}: malformed checkpoint header")
     needed += [f"adv_{p}{i}" for p in "wb" for i in range(n_layers)]
     missing = [name for name in needed if name not in arrays]
     if missing:

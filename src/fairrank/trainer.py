@@ -352,6 +352,12 @@ class _Trainer:
             self.sweep_rng = np.random.default_rng(int(seeds[3]))
         self.adv_work = {}  # discriminator buffers by batch size
         self.plan = self._epoch_plan()
+        if 0 < config.eval_every <= len(self.plan) and not len(dataset.val_items):
+            raise ConfigError(
+                f"train.eval_every: validating every {config.eval_every} "
+                "epochs needs validation pairs, and the split has none "
+                "(data val_ratio = 0); set eval_every = 0 or val_ratio > 0"
+            )
         # room for the most score terms any epoch's steps add
         self.score_terms = max(
             (sum(self._score_terms(a, bt)) for _, _, a, bt, _ in self.plan),

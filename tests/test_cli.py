@@ -114,6 +114,19 @@ def test_train_missing_alpha_fails(corpus_dir, tmp_path, capsys):
     assert "alpha required" in capsys.readouterr().err
 
 
+def test_train_without_validation_pairs_fails(corpus_dir, tmp_path, capsys):
+    ini = _exp_ini(tmp_path / "noval.ini", corpus_dir, epochs=6, eval_every=5,
+                   out_dir=tmp_path / "runs")
+    text = open(ini).read().replace(
+        "[train]\n", "train_ratio = 0.8\nval_ratio = 0\ntest_ratio = 0.2\n[train]\n"
+    )
+    _write(ini, text)
+    assert main(["train", "--config", ini]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: train.eval_every:") and "val_ratio" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_diverging_discriminator_is_domain_error(
     corpus_dir, tmp_path, capsys
 ):

@@ -406,6 +406,23 @@ def test_evaluate_model_rejects_non_finite_params(where, value):
         evaluate_model(params, ds, cat, ks=(2,), js_user_pairs=20)
 
 
+def test_evaluate_model_zero_spread_is_a_data_error():
+    # every user's test item scores last, so no top-1 list holds a test hit
+    # and every group's reo@1 probability is 0
+    scores = np.tile(np.arange(6.0, 0.0, -1.0), (4, 1))
+    train = [[0], [1], [0], [1]]
+    test = [[5], [4], [4], [5]]
+    ds = _dataset(4, 6, train, test=test)
+    cat = GroupCatalog(["a", "b"], np.array([[1, 0], [0, 1]] * 3, dtype=np.uint8))
+    params = _params_from_scores(scores)
+    want = "^reo@1: undefined, every group's probability is 0$"
+    with pytest.raises(DataError, match=want):
+        evaluate_model(params, ds, cat, ks=(1,), js_user_pairs=20)
+    # relative_std itself keeps its ValueError
+    with pytest.raises(ValueError, match="zero mean"):
+        relative_std([0.0, 0.0])
+
+
 def _identity_corpus(num_users, num_items, num_groups, seed):
     """Synthetic split with edge users: every fifth user holds all their
     held-out items in test and has 6 or 7 eligible items, list lengths where
@@ -451,11 +468,16 @@ def _identity_models(ds):
     return {"random": random_init, "tied": _params_from_scores(tied)}
 
 
+def _set_rows(monkeypatch, rows, m):
+    """Set the byte budget so that blocks of M = ``m`` scores hold ``rows``."""
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", rows * 8 * m)
+
+
 @pytest.mark.parametrize("rows", [2, 3, 64])
 def test_blocks_cover_users_without_single_row_blocks(rows, monkeypatch):
     # BLAS scores a lone row with gemv, which rounds unlike a block's gemm
-    monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
-    # at 10**6 items the byte budget, not BLOCK_ROWS, sets two rows a block
+    _set_rows(monkeypatch, rows, 40)
+    # at 10**6 items the same budget buys the floor of two rows a block
     for m, want in ((40, rows), (10**6, 2)):
         assert evaluation._block_rows(m) == want
         for n in range(1, 3 * rows + 3):
@@ -470,13 +492,56 @@ def test_blocks_cover_users_without_single_row_blocks(rows, monkeypatch):
             assert len(evaluation._block_buffer(n, m)) >= max(sizes)
 
 
+def _sparse_dataset(rng, n, m):
+    """Random splits in which about a third of each split's lists are empty."""
+    lists = []
+    for _ in range(3):
+        sizes = rng.integers(1, 5, size=n) * (rng.random(n) > 0.33)
+        lists.append([np.sort(rng.choice(m, size=k, replace=False)) for k in sizes])
+    return InteractionDataset(n, m, *lists)
+
+
+def _ref_block_pairs(ds, split, users):
+    lists = {"pos": ds.train_pos, "val": ds.val_pos, "test": ds.test_pos}[split]
+    start = getattr(ds, f"{split}_indptr")
+    rows, items, at = [], [], []
+    for r, u in enumerate(users.tolist()):
+        for j, item in enumerate(lists[u].tolist()):
+            rows.append(r)
+            items.append(item)
+            at.append(int(start[u]) + j)
+    return rows, items, at
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_pairs_match_a_per_user_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    ds = _sparse_dataset(rng, n, 9)
+    selections = [np.arange(0), np.arange(n), np.array([0]), np.array([n - 1])]
+    for size in (1, 2, 7, 15, 29):
+        picked = np.sort(rng.choice(n, size=size, replace=False))
+        selections += [picked, np.union1d(picked, [0, n - 1])]
+    for split in ("pos", "val", "test"):
+        sizes = np.diff(getattr(ds, f"{split}_indptr"))
+        assert (sizes == 0).any() and (sizes > 0).any()
+        for users in selections:
+            (rows, items), at = evaluation._block_pairs(ds, split, users)
+            want_rows, want_items, want_at = _ref_block_pairs(ds, split, users)
+            assert rows.tolist() == want_rows, (split, users)
+            assert items.tolist() == want_items, (split, users)
+            assert at.tolist() == want_at, (split, users)
+
+
 def test_block_rows_follow_the_byte_budget():
     # 2 rows of 10**6 items, where 2048 would ask for 16 GB a buffer
     m = 10**6
     assert evaluation._block_rows(m) == 2
     assert evaluation._block_buffer(10**5, m).nbytes <= 3 * 8 * m
     assert evaluation._block_rows(5000) == 209
-    assert evaluation._block_rows(200) == evaluation.BLOCK_ROWS
+    assert evaluation._block_rows(2000) == 524
+    # no cap: 2000 users of 200 items are one block
+    assert evaluation._block_rows(200) == 5242
 
 
 # block sizes: tiny, odd, mid, the whole corpus, and N - 1, which leaves a
@@ -490,7 +555,7 @@ def test_evaluate_model_matches_reference_bytes(
     ds, cat = _IDENTITY_CORPORA[corpus]
     n = ds.num_users
     rows = {"n": n, "n-1": n - 1}.get(block, block)
-    monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
+    _set_rows(monkeypatch, rows, ds.num_items)
     for name, params in _identity_models(ds).items():
         kwargs = dict(ks=(1, 5, 15), exclude=exclude, js_user_pairs=200)
         got = evaluate_model(params, ds, cat, **kwargs)
@@ -511,7 +576,7 @@ def test_evaluate_model_matches_reference_bytes(
 def test_evaluate_model_matches_reference_bytes_under_byte_budget(
     corpus, rows, monkeypatch
 ):
-    # the budget, not BLOCK_ROWS, sets the rows; 7 spare bytes buy no row
+    # 7 bytes short of an extra row buy no row
     ds, cat = _IDENTITY_CORPORA[corpus]
     monkeypatch.setattr(evaluation, "BLOCK_BYTES", rows * 8 * ds.num_items + 7)
     assert evaluation._block_rows(ds.num_items) == rows
@@ -531,14 +596,13 @@ def _block_rows(block, n):
 
 @pytest.mark.parametrize("block", _BLOCKS)
 def test_evaluate_model_scores_each_block_twice(block, monkeypatch):
-    # one pass feeds the ranking, mode "all"'s ranges and the test pairs;
-    # the second counts mode "all"'s histograms.  user_divergence scores its
-    # sampled users (an index array) in blocks twice, but its last block once
+    # a sweep feeds the ranking, mode "all"'s ranges and the test pairs, and
+    # a second sweep counts mode "all"'s histograms; between them
+    # user_divergence scores its sampled users in blocks twice, once for
+    # their ranges and once for their histograms
     ds, cat = _IDENTITY_CORPORA["3groups"]
-    m = ds.num_items
-    monkeypatch.setattr(
-        evaluation, "BLOCK_ROWS", _block_rows(block, ds.num_users)
-    )
+    n, m = ds.num_users, ds.num_items
+    _set_rows(monkeypatch, _block_rows(block, n), m)
     calls = []
     score = evaluation._score_matrix
 
@@ -549,18 +613,20 @@ def test_evaluate_model_scores_each_block_twice(block, monkeypatch):
     monkeypatch.setattr(evaluation, "_score_matrix", counted)
     params = _identity_models(ds)["random"]
     evaluate_model(params, ds, cat, js_user_pairs=50)
-    ranges = [u for u in calls if isinstance(u, slice)]
-    sampled = [u for u in calls if not isinstance(u, slice)]
-    assert len(ranges) == 2 * len(list(evaluation._blocks(ds.num_users, m)))
-    n_sampled = len(np.unique(np.concatenate(sampled)))
-    assert len(sampled) == 2 * len(list(evaluation._blocks(n_sampled, m))) - 1
+    sampled = np.unique(np.concatenate(_sampled_pairs(n, 50, 0)))
+    sweep = [np.arange(lo, hi) for lo, hi in evaluation._blocks(n, m)]
+    users = [sampled[lo:hi] for lo, hi in evaluation._blocks(len(sampled), m)]
+    assert len(calls) == 2 * len(sweep) + 2 * len(users)
+    for got, want in zip(calls, sweep + users + users + sweep):
+        assert isinstance(got, np.ndarray) and (np.diff(got) > 0).all()
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", _BLOCKS)
 def test_rank_topk_on_block_sees_unmasked_scores(block, monkeypatch):
     ds, _ = _IDENTITY_CORPORA["3groups"]
     n = ds.num_users
-    monkeypatch.setattr(evaluation, "BLOCK_ROWS", _block_rows(block, n))
+    _set_rows(monkeypatch, _block_rows(block, n), ds.num_items)
     params = _identity_models(ds)["random"]
     seen = []
     got = rank_topk(
@@ -585,9 +651,7 @@ def test_rank_topk_on_block_sees_unmasked_scores(block, monkeypatch):
 @pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
 def test_group_divergence_equals_evaluate_model(corpus, block, monkeypatch):
     ds, cat = _IDENTITY_CORPORA[corpus]
-    monkeypatch.setattr(
-        evaluation, "BLOCK_ROWS", _block_rows(block, ds.num_users)
-    )
+    _set_rows(monkeypatch, _block_rows(block, ds.num_users), ds.num_items)
     for params in _identity_models(ds).values():
         report = evaluate_model(params, ds, cat, js_user_pairs=20)
         assert group_divergence(params, ds, cat, "all") == report.js_group_all
@@ -619,7 +683,7 @@ def test_rank_topk_non_finite_scores_match_reference(monkeypatch):
     ds = random_dataset(rng, n, m, max_pos=4)
     params = init_params(n, m, 2, seed=0)
     for rows in (2, 3, 64):
-        monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
+        _set_rows(monkeypatch, rows, m)
         for k in (1, 4, 15):
             for exclude in ("train", "train+val"):
                 got = rank_topk(params, ds, k, exclude=exclude)
@@ -666,7 +730,7 @@ def _sampled_pairs(n, sample_pairs, seed):
 def test_user_divergence_in_blocks_equals_reference(corpus, rows, monkeypatch):
     ds, _ = _IDENTITY_CORPORA[corpus]
     n, m = ds.num_users, ds.num_items
-    monkeypatch.setattr(evaluation, "BLOCK_ROWS", rows)
+    _set_rows(monkeypatch, rows, m)
     scored = []
     score = evaluation._score_matrix
 

@@ -360,6 +360,18 @@ def test_checkpoint_errors(tmp_path):
     with pytest.raises(DataError, match="version"):
         load_checkpoint(str(bumped))
 
+    # an adversary entry must give its layer count, a positive int
+    header["version"] = 1
+    for adversary in ({"num_layers": "2"}, ["x"], {"layers": 1}, {"num_layers": -1}):
+        header["adversary"] = adversary
+        bad = tmp_path / "a"
+        bad.write_bytes(
+            json.dumps(header, sort_keys=True).encode() + b"\n"
+            + data.split(b"\n", 1)[1]
+        )
+        with pytest.raises(DataError, match="malformed checkpoint header"):
+            load_checkpoint(str(bad))
+
 
 def _raw_arrays(path):
     """Arrays of a checkpoint file, parsed without the package's loader."""

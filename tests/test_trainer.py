@@ -132,6 +132,23 @@ def test_kind_dispatch_guards(synth_dataset):
             train(_small_cfg(kind), ds, None)
 
 
+def test_empty_validation_split_fails_before_training():
+    # the check is in _Trainer's constructor, so no epoch runs
+    raw, cat = make_synth(seed=4)
+    ds = split(raw, (0.8, 0.0, 0.2), seed=0)
+    assert len(ds.val_items) == 0
+    for cfg in (
+        TrainConfig(eval_every=5, epochs=6),
+        # the pretraining epochs count: epoch 4 would validate
+        _small_cfg("dpr-rsp", epochs=2, pretrain_epochs=2, eval_every=4),
+    ):
+        with pytest.raises(ConfigError, match="eval_every.*val_ratio = 0"):
+            _Trainer(cfg, ds, cat)
+    # a plan that never validates still runs
+    res = train(_small_cfg(epochs=4, eval_every=5), ds)
+    assert len(res.log.records) == 4
+
+
 # ---- batch stream ---------------------------------------------------
 
 
