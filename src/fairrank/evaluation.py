@@ -2,15 +2,24 @@
 
 All metrics work on a RankingResult: per-user top-k item lists ordered by
 score descending with ties broken by ascending item id.  Scores are made
-a block of users at a time by one generator, ``_train_nan_blocks``, each
-block about BLOCK_BYTES of float64 scores (at least two rows) with the
-training pairs NaN: memory is O(BLOCK_BYTES + M) whatever N is, never
-N x M.  Every JS divergence, of users or of groups, is counted and summed
-by one routine, ``_mean_js``.
+a block of users at a time by one sweep, ``_sweep``, each block about
+BLOCK_BYTES of float64 scores (at least two rows) with the training pairs
+NaN, in one buffer: memory is O(BLOCK_BYTES + M) whatever N is, never
+N x M.  The calling thread scores the blocks in order; the per-row work on
+a block (ranking, group histograms, user score ranges) is split into
+THREADS parts of its rows that run at once, each with scratch for its own
+rows only, so the scratch of all parts adds up to one block, and the
+histograms that run at once hold at most one more.  Every JS divergence,
+of users or of groups, is counted and summed by one accumulator,
+``_MeanJS``, whose integer counts add up to the same numbers in any order,
+so the output does not depend on THREADS.
 """
 
 import json
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +36,13 @@ EXCLUDE_TRAIN = "train"
 EXCLUDE_TRAIN_VAL = "train+val"
 
 BLOCK_BYTES = 8 << 20
+
+# threads that share a block's rows: every CPU this process may run on
+THREADS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
 @dataclass
@@ -66,18 +82,29 @@ def _blocks(n, m):
     return zip(edges[:-1], edges[1:])
 
 
-def _block_pairs(dataset, split, users):
+def _block_pairs(dataset, split, users, positions=True):
     """(rows, items) of the ascending ``users``' pairs in ``split`` ("pos",
-    "val" or "test"), rows counted in ``users``, and their positions in the
-    split."""
+    "val" or "test"), rows counted in ``users``; with ``positions``,
+    ((rows, items), at), ``at`` the pairs' positions in the split.  Only a
+    gather from the split needs ``at``: masking goes without it, holds at
+    most two pair-length arrays at once, and takes consecutive users'
+    items as a view of the split."""
     indptr = getattr(dataset, f"{split}_indptr")
     start = indptr[users]
     sizes = indptr[users + 1] - start
-    rows = np.repeat(np.arange(len(users)), sizes)
+    items = getattr(dataset, f"{split}_items")
+    if not positions and users[-1] - users[0] == len(users) - 1:
+        # consecutive users' pairs are one run of the split
+        items = items[start[0] : indptr[users[-1] + 1]]
+        return np.repeat(np.arange(len(users)), sizes), items
     # pair j of row r sits at start[r] + j, and j = j_total - (pairs before r)
     at = np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
     at += np.arange(len(at))
-    return (rows, getattr(dataset, f"{split}_items")[at]), at
+    items = items[at]
+    if not positions:
+        del at  # before rows is made
+    rows = np.repeat(np.arange(len(users)), sizes)
+    return ((rows, items), at) if positions else (rows, items)
 
 
 def _block_buffer(n, m):
@@ -85,17 +112,41 @@ def _block_buffer(n, m):
     return np.empty((max(hi - lo for lo, hi in _blocks(n, m)), m))
 
 
-def _train_nan_blocks(params, dataset, users=None):
-    """(a, b, scores) per block of ``users[a:b]`` (ascending ids; every user
-    by default): their scores, NaN on training pairs, in a buffer that the
-    next block overwrites."""
+def _sweep(params, dataset, users=None, *, on_block=None, part=None):
+    """Score ``users`` (ascending ids; every user by default) a block at a
+    time, training pairs NaN, into one buffer that the next block overwrites.
+
+    On the calling thread and in block order, each block users[a:b] is
+    scored and handed to ``on_block(a, b, scores)``.  Then its rows are
+    split into up to THREADS parts, and ``part(lo, hi, i, scores)`` runs
+    once per part, for users[lo:hi], which are rows i.. of the block, and
+    their ``scores``.  The first part runs on the calling thread, the others
+    on threads that live for the sweep.  All parts end before the next
+    block is scored; an error a part raises is raised as it is, the first
+    part's in row order when several fail.  A part may write only its own
+    rows, of ``scores`` and of any scratch.
+    """
     n = dataset.num_users if users is None else len(users)
     buf = _block_buffer(n, dataset.num_items)
-    for a, b in _blocks(n, dataset.num_items):
-        ids = np.arange(a, b) if users is None else users[a:b]
-        scores = _score_matrix(params, ids, out=buf)
-        scores[_block_pairs(dataset, "pos", ids)[0]] = np.nan
-        yield a, b, scores
+    with ThreadPoolExecutor(max(THREADS - 1, 1), "fairrank-eval") as pool:
+        for a, b in _blocks(n, dataset.num_items):
+            ids = np.arange(a, b) if users is None else users[a:b]
+            scores = _score_matrix(params, ids, out=buf)
+            scores[_block_pairs(dataset, "pos", ids, positions=False)] = np.nan
+            if on_block is not None:
+                on_block(a, b, scores)
+            if part is None:
+                continue
+            t = min(THREADS, b - a)
+            edges = [(b - a) * p // t for p in range(t + 1)]
+            runs = [
+                (a + i, a + j, i, scores[i:j]) for i, j in zip(edges, edges[1:])
+            ]
+            futures = [pool.submit(part, *run) for run in runs[1:]]
+            # on an error the pool's exit waits for the other parts
+            part(*runs[0])
+            for f in futures:
+                f.result()
 
 
 def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
@@ -107,9 +158,10 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
         k: list length, >= 1.
         exclude: "train" or "train+val"; masked items never appear.
         on_block: optional ``on_block(lo, hi, scores)``, called once per
-            block with users lo..hi-1's (hi - lo, M) scores, training pairs
-            NaN, before any masking.  It must only read: ``scores`` is a
-            reused buffer that the next block overwrites.
+            block, in order and on the calling thread, with users lo..hi-1's
+            (hi - lo, M) scores, training pairs NaN, before any masking.  It
+            must only read: ``scores`` is a reused buffer that the next block
+            overwrites.
 
     Returns:
         RankingResult.  Ordering is score descending, item id ascending on
@@ -135,13 +187,13 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     items = np.full((n, depth + 1), -1, dtype=np.int64)
     lengths = np.empty(n, dtype=np.int64)
     work = _block_buffer(n, dataset.num_items)
-    for lo, hi, scores in _train_nan_blocks(params, dataset):
-        if on_block is not None:
-            on_block(lo, hi, scores)
+
+    def rank(lo, hi, i, scores):
+        ids = np.arange(lo, hi)
         for split in masked:
-            scores[_block_pairs(dataset, split, np.arange(lo, hi))[0]] = -np.inf
+            scores[_block_pairs(dataset, split, ids, positions=False)] = -np.inf
         # the key is -score; partition sorts NaN last, like a full sort
-        part = np.negative(scores, out=work[: hi - lo])
+        part = np.negative(scores, out=work[i : i + hi - lo])
         part.partition(depth, axis=1)
         # rows whose depth + 1 smallest keys are finite have a full list;
         # only the others need their finite scores counted
@@ -158,6 +210,8 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
         keep = rank < take[rows]
         items[lo + rows[keep], rank[keep]] = cols[keep]
+
+    _sweep(params, dataset, on_block=on_block, part=rank)
     short = int((lengths < k).sum())
     if short:
         log.info("rank_topk: %d users had fewer than k=%d eligible items", short, k)
@@ -299,37 +353,52 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
     b = np.asarray(samples_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("js_divergence: empty sample")
-    lo, hi = [a.min(), b.min()], [a.max(), b.max()]
-    return _mean_js(lo, hi, [(0, 1)], [(0, a), (1, b)], bins)
+    js = _MeanJS([a.min(), b.min()], [a.max(), b.max()], [(0, 1)], bins)
+    js.add(0, a)
+    js.add(1, b)
+    return js.value()
 
 
-def _mean_js(lo, hi, pairs, samples, bins):
+class _MeanJS:
     """Mean JS divergence over ``pairs`` (a, b) of samples, sample a in
-    [lo[a], hi[a]].  ``samples`` yields (a, values) chunks, each read before
-    the next is drawn, and a chunk is histogrammed once per joint range of
-    its sample's pairs.  The bin rule is per value (NaN counts nowhere), so
-    counts add up over a sample's chunks.  A pair whose joint range is one
-    point is never counted: both its sides stay 0, so its divergence is
-    exactly 0."""
-    sides = np.ravel(pairs)
-    ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
-    # row j of counts is side j % 2 of pair j // 2
-    counts = np.zeros((len(sides), bins), dtype=np.int64)
-    for a, x in samples:
-        made = {}
-        for j in np.flatnonzero(sides == a).tolist():
-            r = ranges[j // 2]
+    [lo[a], hi[a]].
+
+    ``add`` histograms a chunk of one sample once per joint range of its
+    sample's pairs and adds the counts up under a lock, so threads may add
+    at once.  The bin rule is per value (NaN counts nowhere) and the counts are integers,
+    so they are the same however a sample is cut into chunks and in
+    whatever order the chunks come.  A pair whose joint range is one point
+    is never counted: both its sides stay 0, so its divergence is exactly 0.
+    """
+
+    def __init__(self, lo, hi, pairs, bins=JS_BINS):
+        self.sides = np.ravel(pairs)
+        self.ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
+        # row j of counts is side j % 2 of pair j // 2
+        self.counts = np.zeros((len(self.sides), bins), dtype=np.int64)
+        self.lock = threading.Lock()
+
+    def add(self, a, x):
+        """Count the values ``x`` of sample ``a``."""
+        made, sides = {}, []
+        for j in np.flatnonzero(self.sides == a).tolist():
+            r = self.ranges[j // 2]
             if r[0] != r[1]:
                 if r not in made:
-                    made[r] = np.histogram(x, bins, r)[0]
-                counts[j] += made[r]
-    total = 0.0
-    for pq in counts.reshape(-1, 2, bins):
-        pq = pq + JS_EPS
-        pq /= pq.sum(axis=1, keepdims=True)
-        kl = (pq * np.log(pq / (0.5 * (pq[0] + pq[1])))).sum(axis=1)
-        total += float(0.5 * kl[0] + 0.5 * kl[1])
-    return total / len(ranges)
+                    made[r] = np.histogram(x, self.counts.shape[1], r)[0]
+                sides.append((j, r))
+        with self.lock:
+            for j, r in sides:
+                self.counts[j] += made[r]
+
+    def value(self):
+        total = 0.0
+        for pq in self.counts.reshape(-1, 2, self.counts.shape[1]):
+            pq = pq + JS_EPS
+            pq /= pq.sum(axis=1, keepdims=True)
+            kl = (pq * np.log(pq / (0.5 * (pq[0] + pq[1])))).sum(axis=1)
+            total += float(0.5 * kl[0] + 0.5 * kl[1])
+        return total / len(self.ranges)
 
 
 def user_divergence(params, dataset, sample_pairs=1000, seed=0):
@@ -338,7 +407,8 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
     ``sample_pairs`` (u, v) pairs are drawn uniformly with u != v.  Each user
     is represented by their scores over non-training items.  Only sampled
     users are scored, in blocks: a first pass takes each user's score range,
-    a second each user's histograms over the joint ranges of its pairs.
+    its rows split across THREADS, and a second, on the calling thread, each
+    user's histograms over the joint ranges of its pairs.
     """
     n = dataset.num_users
     if n < 2:
@@ -360,19 +430,24 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
             f"user_divergence: user {int(full[0])} has no non-training items"
         )
     lo, hi = np.empty((2, len(users)))
-    for a, b, scores in _train_nan_blocks(params, dataset, users):
+
+    def ranges(a, b, i, scores):
         np.fmin.reduce(scores, axis=1, out=lo[a:b])
         np.fmax.reduce(scores, axis=1, out=hi[a:b])
-    del scores  # the first pass's buffer; the second makes its own
-    lo, hi = lo.tolist(), hi.tolist()
-    rows = (
-        (a + i, row)
-        for a, _, scores in _train_nan_blocks(params, dataset, users)
-        for i, row in enumerate(scores)
-    )
+
+    _sweep(params, dataset, users, part=ranges)
     # each pair's two rows in users
     sides = np.searchsorted(users, np.stack((us, vs), axis=1))
-    return _mean_js(lo, hi, sides, rows, JS_BINS)
+    js = _MeanJS(lo.tolist(), hi.tolist(), sides)
+
+    # one np.histogram of a row is mostly interpreter time: threads would
+    # only contend for the interpreter
+    def histograms(a, b, scores):
+        for i, row in enumerate(scores):
+            js.add(a + i, row)
+
+    _sweep(params, dataset, users, on_block=histograms)
+    return js.value()
 
 
 def _group_members(catalog, items=slice(None)):
@@ -388,7 +463,8 @@ class _GroupJS:
 
     Each block widens every group's range and gives up its test pairs'
     scores.  ``all`` then scores the blocks a second time for each group's
-    histogram counts; ``positive`` works from the gathered test-pair scores.
+    histogram counts, a block's rows split across THREADS; ``positive``
+    works from the gathered test-pair scores.
     """
 
     def __init__(self, params, dataset, catalog):
@@ -409,38 +485,46 @@ class _GroupJS:
         self.test_scores[at] = scores[pairs]
 
     def all(self):
+        js = self._mean_js(self.lo, self.hi, "all")
         n, m = self.dataset.num_users, self.dataset.num_items
-        work = np.empty(len(_block_buffer(n, m)) * max(map(len, self.cols)))
+        # row i of a block owns work[i * w : (i + 1) * w]
+        w = max(map(len, self.cols))
+        work = np.empty(len(_block_buffer(n, m)) * w)
+        # np.histogram holds about 40 bytes for each of the up to 65536
+        # values it bins at a time: only as many parts bin at once as fit
+        # in BLOCK_BYTES together (three at 8 MiB), whatever THREADS is
+        binning = threading.Semaphore(max(1, BLOCK_BYTES // (40 << 16)))
 
-        def columns():
-            for _, _, x in _train_nan_blocks(self.params, self.dataset):
-                for a, c in enumerate(self.cols):
-                    part = work[: len(x) * len(c)].reshape(len(x), len(c))
-                    # with out=, mode="raise" would copy through a bounce buffer
-                    np.take(x, c, axis=1, out=part, mode="clip")
-                    yield a, part
+        def histograms(lo, hi, i, x):
+            for a, c in enumerate(self.cols):
+                part = work[i * w : i * w + len(x) * len(c)].reshape(len(x), len(c))
+                # with out=, mode="raise" would copy through a bounce buffer
+                np.take(x, c, axis=1, out=part, mode="clip")
+                with binning:
+                    js.add(a, part)
 
-        return self._mean(self.lo, self.hi, columns(), "all")
+        _sweep(self.params, self.dataset, part=histograms)
+        return js.value()
 
     def positive(self):
         scores = self.test_scores
         cols = _group_members(self.catalog, self.dataset.test_items)
         lo = np.array([np.fmin.reduce(scores[c], initial=np.inf) for c in cols])
         hi = np.array([np.fmax.reduce(scores[c], initial=-np.inf) for c in cols])
-        chunks = ((a, scores[c]) for a, c in enumerate(cols))
-        return self._mean(lo, hi, chunks, "positive")
+        js = self._mean_js(lo, hi, "positive")
+        for a, c in enumerate(cols):
+            js.add(a, scores[c])
+        return js.value()
 
-    def _mean(self, lo, hi, chunks, mode):
-        """Mean JS over every group pair, group a's samples drawn from
-        ``chunks`` and in range [lo[a], hi[a]]."""
+    def _mean_js(self, lo, hi, mode):
+        """A _MeanJS over every group pair, group a in [lo[a], hi[a]]."""
         n = len(lo)
         if n < 2:
             raise DataError("group_divergence: need at least two groups")
         if (lo > hi).any():
             bad = self.catalog.group_names[int(np.argmax(lo > hi))]
             raise DataError(f"group '{bad}' has no scores in mode '{mode}'")
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        return _mean_js(lo, hi, pairs, chunks, JS_BINS)
+        return _MeanJS(lo, hi, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
 def group_divergence(params, dataset, catalog, mode="all"):
@@ -453,9 +537,7 @@ def group_divergence(params, dataset, catalog, mode="all"):
     if mode not in ("all", "positive"):
         raise ValueError(f"mode: unknown '{mode}'")
     js = _GroupJS(params, dataset, catalog)
-    for block in _train_nan_blocks(params, dataset):
-        js(*block)
-    del block  # the sweep's buffer; mode "all" makes its own
+    _sweep(params, dataset, on_block=js)
     return js.all() if mode == "all" else js.positive()
 
 

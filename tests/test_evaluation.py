@@ -1,5 +1,9 @@
 import json
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -824,3 +828,216 @@ def test_catalog_must_cover_the_datasets_items(catalog_items):
     ):
         with pytest.raises(DataError, match=want):
             call()
+
+
+def test_threads_follow_the_cpu_affinity():
+    if hasattr(os, "sched_getaffinity"):
+        assert evaluation.THREADS == len(os.sched_getaffinity(0))
+    assert evaluation.THREADS >= 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_pairs_without_positions_match_with_positions(seed):
+    # masking takes (rows, items) alone: consecutive users' items are a
+    # view of the split, any other selection a gather
+    rng = np.random.default_rng(seed)
+    n = 30
+    ds = _sparse_dataset(rng, n, 9)
+    selections = [np.arange(n), np.array([0]), np.array([n - 1])]
+    selections += [np.arange(a, b) for a, b in ((0, 7), (5, 6), (11, 30))]
+    for size in (2, 7, 15, 29):
+        picked = np.sort(rng.choice(n, size=size, replace=False))
+        selections += [picked, np.union1d(picked, [0, n - 1])]
+    for split in ("pos", "val", "test"):
+        for users in selections:
+            rows, items = evaluation._block_pairs(ds, split, users, positions=False)
+            (want_rows, want_items), _ = evaluation._block_pairs(ds, split, users)
+            assert rows.tolist() == want_rows.tolist(), (split, users)
+            assert items.tolist() == want_items.tolist(), (split, users)
+
+
+_THREADS = [1, 2, 3, 8]
+
+
+@pytest.fixture
+def short_switches():
+    """A short interpreter switch interval, so that threads interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("corpus", sorted(_IDENTITY_CORPORA))
+def test_outputs_do_not_depend_on_the_thread_count(
+    corpus, block, monkeypatch, short_switches
+):
+    # block rows 2 and 3 leave parts of one row and blocks with fewer rows
+    # than threads
+    ds, cat = _IDENTITY_CORPORA[corpus]
+    _set_rows(monkeypatch, _block_rows(block, ds.num_users), ds.num_items)
+    kwargs = dict(ks=(1, 5, 15), js_user_pairs=200)
+    for name, params in _identity_models(ds).items():
+        want = reference_evaluate_model(params, ds, cat, **kwargs).to_json()
+        want_lists = [
+            l.tolist() for l in ref_rank_topk(params, ds, 15, "train").lists
+        ]
+        seen = set()
+        for threads in _THREADS:
+            monkeypatch.setattr(evaluation, "THREADS", threads)
+            got = evaluate_model(params, ds, cat, **kwargs)
+            assert got.to_json() == want, (name, threads)
+            ranking = rank_topk(params, ds, 15, exclude="train")
+            assert [l.tolist() for l in ranking.lists] == want_lists
+            seen.add(
+                (
+                    group_divergence(params, ds, cat, "all"),
+                    group_divergence(params, ds, cat, "positive"),
+                    user_divergence(params, ds, sample_pairs=200),
+                )
+            )
+        assert seen == {(got.js_group_all, got.js_group_pos, got.js_user)}, name
+
+
+def test_mean_js_counts_lose_no_update_across_threads(short_switches):
+    # more adding threads than CPUs, each chunk of a sample counted once;
+    # numpy adds rows of this many bins with the interpreter lock released
+    rng = np.random.default_rng(3)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    lo, hi = [-4.0, -3.0, -2.0], [4.0, 5.0, 6.0]
+    chunks = [
+        (a, rng.uniform(lo[a], hi[a], size=50)) for a in (0, 1, 2) for _ in range(300)
+    ]
+    bins = 20000
+    alone = evaluation._MeanJS(lo, hi, pairs, bins)
+    for a, x in chunks:
+        alone.add(a, x)
+    shared = evaluation._MeanJS(lo, hi, pairs, bins)
+    with ThreadPoolExecutor(4 * evaluation.THREADS + 4) as pool:
+        futures = [pool.submit(shared.add, a, x) for a, x in chunks]
+        for f in futures:
+            f.result(timeout=60)
+    assert np.array_equal(shared.counts, alone.counts)
+    assert shared.counts.sum() == 2 * 50 * len(chunks)
+    assert shared.value() == alone.value()
+
+
+def test_evaluate_model_memory_holds_the_byte_budget_at_any_thread_count(
+    monkeypatch,
+):
+    # the bound of test_evaluate_model_memory_follows_the_byte_budget; each
+    # part's scratch is its own rows, and the histograms that run at once
+    # hold one more block at most, so more threads add less than a block
+    rng = np.random.default_rng(0)
+    n, m = 3000, 4000
+    ds = random_dataset(rng, n, m)
+    cat = random_catalog(rng, m, 2)
+    params = init_params(n, m, 8, seed=0)
+    peaks = {}
+    for threads in (1, 2, 8):
+        monkeypatch.setattr(evaluation, "THREADS", threads)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = evaluate_model(params, ds, cat)
+            peaks[threads] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ranking = n * max(report.ks) * 8
+        assert peaks[threads] <= 4 * evaluation.BLOCK_BYTES + ranking, threads
+        assert peaks[threads] <= peaks[1] + evaluation.BLOCK_BYTES, threads
+
+
+@pytest.mark.parametrize("block", [3, 64, "n"])
+def test_scoring_and_on_block_stay_on_the_calling_thread(block, monkeypatch):
+    # the per-layer hooks wrap _score_matrix and on_block with a span stack
+    # that is not thread-safe; parts run elsewhere
+    ds, cat = _IDENTITY_CORPORA["3groups"]
+    n, m = ds.num_users, ds.num_items
+    _set_rows(monkeypatch, _block_rows(block, n), m)
+    monkeypatch.setattr(evaluation, "THREADS", 3)
+    calls, blocks, adders = [], [], set()
+    score = evaluation._score_matrix
+    on_block = evaluation._GroupJS.__call__
+    add = evaluation._MeanJS.add
+
+    def scored(params, users=slice(None), out=None):
+        calls.append((threading.get_ident(), users))
+        return score(params, users, out=out)
+
+    def handed(self, lo, hi, scores):
+        blocks.append((threading.get_ident(), lo, hi))
+        return on_block(self, lo, hi, scores)
+
+    def added(self, a, x):
+        adders.add(threading.get_ident())
+        return add(self, a, x)
+
+    monkeypatch.setattr(evaluation, "_score_matrix", scored)
+    monkeypatch.setattr(evaluation._GroupJS, "__call__", handed)
+    monkeypatch.setattr(evaluation._MeanJS, "add", added)
+    evaluate_model(_identity_models(ds)["random"], ds, cat, js_user_pairs=50)
+    main = threading.get_ident()
+    sampled = np.unique(np.concatenate(_sampled_pairs(n, 50, 0)))
+    sweep = [np.arange(lo, hi) for lo, hi in evaluation._blocks(n, m)]
+    users = [sampled[lo:hi] for lo, hi in evaluation._blocks(len(sampled), m)]
+    assert {ident for ident, _ in calls} == {main}
+    assert len(calls) == 2 * len(sweep) + 2 * len(users)
+    for (_, got), want in zip(calls, sweep + users + users + sweep):
+        assert np.array_equal(got, want)
+    assert blocks == [(main, lo, hi) for lo, hi in evaluation._blocks(n, m)]
+    # the group histograms did run in parts on other threads
+    assert main in adders and len(adders) > 1
+
+
+def test_sweep_raises_a_parts_error_unchanged(monkeypatch):
+    ds, _ = _IDENTITY_CORPORA["2groups"]
+    params = _identity_models(ds)["random"]
+    _set_rows(monkeypatch, 12, ds.num_items)
+    monkeypatch.setattr(evaluation, "THREADS", 4)
+    before = threading.active_count()
+    for failing in (0, 2, 3):
+        err = RuntimeError(f"part {failing}")
+        done = []
+
+        def part(lo, hi, i, scores):
+            done.append(lo)
+            if lo // 3 % 4 == failing and lo >= 24:
+                raise err
+
+        with pytest.raises(RuntimeError) as caught:
+            evaluation._sweep(params, ds, part=part)
+        assert caught.value is err
+        # the failing block's parts all ended; no later block was swept
+        assert sorted(done) == list(range(0, 36, 3))
+        assert threading.active_count() == before
+
+
+def test_evaluate_model_raises_a_parts_error_unchanged(monkeypatch):
+    ds, cat = _IDENTITY_CORPORA["3groups"]
+    params = _identity_models(ds)["random"]
+    _set_rows(monkeypatch, 8, ds.num_items)
+    monkeypatch.setattr(evaluation, "THREADS", 2)
+    before = threading.active_count()
+    want = evaluate_model(params, ds, cat, js_user_pairs=50).to_json()
+    assert threading.active_count() == before
+    main = threading.main_thread()
+    err = FloatingPointError("in a part")
+    pairs = evaluation._block_pairs
+
+    def failing(dataset, split, users, positions=True):
+        if split == "val" and threading.current_thread() is not main:
+            raise err
+        return pairs(dataset, split, users, positions)
+
+    monkeypatch.setattr(evaluation, "_block_pairs", failing)
+    with pytest.raises(FloatingPointError) as caught:
+        evaluate_model(params, ds, cat, js_user_pairs=50)
+    assert caught.value is err
+    assert threading.active_count() == before
+    monkeypatch.setattr(evaluation, "_block_pairs", pairs)
+    assert evaluate_model(params, ds, cat, js_user_pairs=50).to_json() == want
