@@ -6,13 +6,13 @@ a block of users at a time by one sweep, ``_sweep``, each block about
 BLOCK_BYTES of float64 scores (at least two rows) with the training pairs
 NaN, in one buffer: memory is O(BLOCK_BYTES + M) whatever N is, never
 N x M.  The calling thread scores the blocks in order; the per-row work on
-a block (ranking, group histograms, user score ranges) is split into
-THREADS parts of its rows that run at once, each with scratch for its own
-rows only, so the scratch of all parts adds up to one block, and the
-histograms that run at once hold at most one more.  Every JS divergence,
-of users or of groups, is counted and summed by one accumulator,
-``_MeanJS``, whose integer counts add up to the same numbers in any order,
-so the output does not depend on THREADS.
+a block (ranking, group histograms, user score ranges) is split into up
+to THREADS, and at most MAX_PARTS, parts of its rows that run at once,
+each with scratch for its own rows only, so the scratch of all parts adds
+up to one block, and the histograms that run at once hold at most one
+more.  Every JS divergence, of users or of groups, is counted and summed
+by one accumulator, ``_MeanJS``, whose integer counts add up to the same
+numbers in any order, so the output does not depend on the parts.
 """
 
 import json
@@ -37,12 +37,18 @@ EXCLUDE_TRAIN_VAL = "train+val"
 
 BLOCK_BYTES = 8 << 20
 
-# threads that share a block's rows: every CPU this process may run on
+# every CPU this process may run on
 THREADS = (
     len(os.sched_getaffinity(0))
     if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
 )
+# the most threads that share a block's rows.  An np.histogram call holds
+# about 40 bytes for each of the up to 65536 values it bins at a time, so
+# three at once fit in one 8 MiB block.  And the affinity mask ignores CPU
+# quotas: on 2 CPUs, cutting each block into 8 parts made evaluation
+# slower than one part did.
+MAX_PARTS = 3
 
 
 @dataclass
@@ -86,21 +92,15 @@ def _block_pairs(dataset, split, users, positions=True):
     """(rows, items) of the ascending ``users``' pairs in ``split`` ("pos",
     "val" or "test"), rows counted in ``users``; with ``positions``,
     ((rows, items), at), ``at`` the pairs' positions in the split.  Only a
-    gather from the split needs ``at``: masking goes without it, holds at
-    most two pair-length arrays at once, and takes consecutive users'
-    items as a view of the split."""
+    gather from the split needs ``at``: masking goes without it and holds
+    at most two pair-length arrays at once."""
     indptr = getattr(dataset, f"{split}_indptr")
     start = indptr[users]
     sizes = indptr[users + 1] - start
-    items = getattr(dataset, f"{split}_items")
-    if not positions and users[-1] - users[0] == len(users) - 1:
-        # consecutive users' pairs are one run of the split
-        items = items[start[0] : indptr[users[-1] + 1]]
-        return np.repeat(np.arange(len(users)), sizes), items
     # pair j of row r sits at start[r] + j, and j = j_total - (pairs before r)
     at = np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
     at += np.arange(len(at))
-    items = items[at]
+    items = getattr(dataset, f"{split}_items")[at]
     if not positions:
         del at  # before rows is made
     rows = np.repeat(np.arange(len(users)), sizes)
@@ -118,17 +118,18 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
 
     On the calling thread and in block order, each block users[a:b] is
     scored and handed to ``on_block(a, b, scores)``.  Then its rows are
-    split into up to THREADS parts, and ``part(lo, hi, i, scores)`` runs
-    once per part, for users[lo:hi], which are rows i.. of the block, and
-    their ``scores``.  The first part runs on the calling thread, the others
-    on threads that live for the sweep.  All parts end before the next
-    block is scored; an error a part raises is raised as it is, the first
-    part's in row order when several fail.  A part may write only its own
-    rows, of ``scores`` and of any scratch.
+    split into up to min(THREADS, MAX_PARTS) parts, and ``part(lo, hi, i,
+    scores)`` runs once per part, for users[lo:hi], which are rows i.. of
+    the block, and their ``scores``.  The first part runs on the calling
+    thread, the others on threads that live for the sweep.  All parts end
+    before the next block is scored; an error a part raises is raised as
+    it is, the first part's in row order when several fail.  A part may
+    write only its own rows, of ``scores`` and of any scratch.
     """
     n = dataset.num_users if users is None else len(users)
     buf = _block_buffer(n, dataset.num_items)
-    with ThreadPoolExecutor(max(THREADS - 1, 1), "fairrank-eval") as pool:
+    parts = min(THREADS, MAX_PARTS)
+    with ThreadPoolExecutor(max(parts - 1, 1), "fairrank-eval") as pool:
         for a, b in _blocks(n, dataset.num_items):
             ids = np.arange(a, b) if users is None else users[a:b]
             scores = _score_matrix(params, ids, out=buf)
@@ -137,7 +138,7 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
                 on_block(a, b, scores)
             if part is None:
                 continue
-            t = min(THREADS, b - a)
+            t = min(parts, b - a)
             edges = [(b - a) * p // t for p in range(t + 1)]
             runs = [
                 (a + i, a + j, i, scores[i:j]) for i, j in zip(edges, edges[1:])
@@ -188,7 +189,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     lengths = np.empty(n, dtype=np.int64)
     work = _block_buffer(n, dataset.num_items)
 
-    def rank(lo, hi, i, scores):
+    def rank_rows(lo, hi, i, scores):
         ids = np.arange(lo, hi)
         for split in masked:
             scores[_block_pairs(dataset, split, ids, positions=False)] = -np.inf
@@ -211,7 +212,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
         keep = rank < take[rows]
         items[lo + rows[keep], rank[keep]] = cols[keep]
 
-    _sweep(params, dataset, on_block=on_block, part=rank)
+    _sweep(params, dataset, on_block=on_block, part=rank_rows)
     short = int((lengths < k).sum())
     if short:
         log.info("rank_topk: %d users had fewer than k=%d eligible items", short, k)
@@ -365,10 +366,11 @@ class _MeanJS:
 
     ``add`` histograms a chunk of one sample once per joint range of its
     sample's pairs and adds the counts up under a lock, so threads may add
-    at once.  The bin rule is per value (NaN counts nowhere) and the counts are integers,
-    so they are the same however a sample is cut into chunks and in
-    whatever order the chunks come.  A pair whose joint range is one point
-    is never counted: both its sides stay 0, so its divergence is exactly 0.
+    at once.  The bin rule is per value (NaN counts nowhere) and the
+    counts are integers, so they are the same however a sample is cut into
+    chunks and in whatever order the chunks come.  A pair whose joint
+    range is one point is never counted: both its sides stay 0, so its
+    divergence is exactly 0.
     """
 
     def __init__(self, lo, hi, pairs, bins=JS_BINS):
@@ -407,7 +409,7 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
     ``sample_pairs`` (u, v) pairs are drawn uniformly with u != v.  Each user
     is represented by their scores over non-training items.  Only sampled
     users are scored, in blocks: a first pass takes each user's score range,
-    its rows split across THREADS, and a second, on the calling thread, each
+    its rows split into parts, and a second, on the calling thread, each
     user's histograms over the joint ranges of its pairs.
     """
     n = dataset.num_users
@@ -463,7 +465,7 @@ class _GroupJS:
 
     Each block widens every group's range and gives up its test pairs'
     scores.  ``all`` then scores the blocks a second time for each group's
-    histogram counts, a block's rows split across THREADS; ``positive``
+    histogram counts, a block's rows split into parts; ``positive``
     works from the gathered test-pair scores.
     """
 
@@ -490,18 +492,13 @@ class _GroupJS:
         # row i of a block owns work[i * w : (i + 1) * w]
         w = max(map(len, self.cols))
         work = np.empty(len(_block_buffer(n, m)) * w)
-        # np.histogram holds about 40 bytes for each of the up to 65536
-        # values it bins at a time: only as many parts bin at once as fit
-        # in BLOCK_BYTES together (three at 8 MiB), whatever THREADS is
-        binning = threading.Semaphore(max(1, BLOCK_BYTES // (40 << 16)))
 
         def histograms(lo, hi, i, x):
             for a, c in enumerate(self.cols):
                 part = work[i * w : i * w + len(x) * len(c)].reshape(len(x), len(c))
                 # with out=, mode="raise" would copy through a bounce buffer
                 np.take(x, c, axis=1, out=part, mode="clip")
-                with binning:
-                    js.add(a, part)
+                js.add(a, part)
 
         _sweep(self.params, self.dataset, part=histograms)
         return js.value()

@@ -838,8 +838,8 @@ def test_threads_follow_the_cpu_affinity():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_pairs_without_positions_match_with_positions(seed):
-    # masking takes (rows, items) alone: consecutive users' items are a
-    # view of the split, any other selection a gather
+    # masking takes (rows, items) alone, for consecutive users or any
+    # other selection
     rng = np.random.default_rng(seed)
     n = 30
     ds = _sparse_dataset(rng, n, 9)
@@ -1000,21 +1000,46 @@ def test_sweep_raises_a_parts_error_unchanged(monkeypatch):
     _set_rows(monkeypatch, 12, ds.num_items)
     monkeypatch.setattr(evaluation, "THREADS", 4)
     before = threading.active_count()
-    for failing in (0, 2, 3):
+    # blocks of 12 rows in MAX_PARTS parts of 4
+    for failing in (0, 1, 2):
         err = RuntimeError(f"part {failing}")
         done = []
 
         def part(lo, hi, i, scores):
             done.append(lo)
-            if lo // 3 % 4 == failing and lo >= 24:
+            if lo // 4 % 3 == failing and lo >= 24:
                 raise err
 
         with pytest.raises(RuntimeError) as caught:
             evaluation._sweep(params, ds, part=part)
         assert caught.value is err
         # the failing block's parts all ended; no later block was swept
-        assert sorted(done) == list(range(0, 36, 3))
+        assert sorted(done) == list(range(0, 36, 4))
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8, 64])
+def test_sweep_cuts_a_block_into_at_most_max_parts(threads, monkeypatch):
+    # more parts than MAX_PARTS would hold more histograms at once than one
+    # block's bytes, and run slower where the CPUs are fewer than THREADS
+    ds, _ = _IDENTITY_CORPORA["2groups"]
+    params = _identity_models(ds)["random"]
+    _set_rows(monkeypatch, 12, ds.num_items)
+    monkeypatch.setattr(evaluation, "THREADS", threads)
+    t = min(threads, evaluation.MAX_PARTS)
+    runs, idents = [], set()
+
+    def part(lo, hi, i, scores):
+        runs.append((lo, hi, i, len(scores)))
+        idents.add(threading.get_ident())
+
+    evaluation._sweep(params, ds, part=part)
+    want = []
+    for a, b in evaluation._blocks(ds.num_users, ds.num_items):
+        edges = [(b - a) * p // min(t, b - a) for p in range(min(t, b - a) + 1)]
+        want += [(a + i, a + j, i, j - i) for i, j in zip(edges, edges[1:])]
+    assert sorted(runs) == want
+    assert len(idents) <= t
 
 
 def test_evaluate_model_raises_a_parts_error_unchanged(monkeypatch):
