@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import _SCHEMA, _assign, load_config
 from .data import (
     generate_synthetic,
     load_groups,
@@ -92,7 +92,7 @@ def cmd_train(args):
         config_hash=cfg.config_hash(),
         adversary=result.adversary,
     )
-    result.log.write_csv(os.path.join(run_dir, "trainlog.csv"))
+    _write_text(os.path.join(run_dir, "trainlog.csv"), result.log.to_csv())
     _write_text(os.path.join(run_dir, "config.resolved"), cfg.resolved_text())
     if not np.isnan(result.best_val_f1):
         log.info("best validation f1@15: %r", result.best_val_f1)
@@ -156,27 +156,24 @@ def cmd_sweep(args):
     parts = [p.strip() for p in args.values.split(",") if p.strip()]
     if len(parts) < 2:
         raise UsageError("sweep needs at least 2 comma-separated values")
-    conv = int if args.parameter == "adv_layers" else float
+    # a value is parsed and set as the [train] key of that name would be
+    path, parse = _SCHEMA["train"][args.parameter]
     values = []
     for part in parts:
         try:
-            values.append(conv(part))
-        except ValueError:
+            values.append(parse(part))
+        except ValueError as exc:
             raise UsageError(
-                f"invalid value '{part}' for parameter {args.parameter}"
-            )
+                f"invalid value '{part}' for parameter {args.parameter}: {exc}"
+            ) from None
     cfg = _config(args, validate_train=False)
     _, dataset, catalog = _load_dataset(cfg, need_groups=True)
     fair = "reo" if cfg.train.kind in ("dpr-reo", "reg-reo") else "rsp"
     rows = []
     for value in values:
-        tc = copy.deepcopy(cfg.train)
-        if args.parameter == "adv_layers":
-            tc.adv_layers = value
-        else:
-            setattr(tc.weights, args.parameter, value)
+        run = _assign(copy.deepcopy(cfg), path, value)
         log.info("sweep: %s = %r", args.parameter, value)
-        result = train(tc, dataset, catalog)
+        result = train(run.train, dataset, catalog)
         report = evaluate_model(
             result.params,
             dataset,
@@ -192,14 +189,6 @@ def cmd_sweep(args):
     return 0
 
 
-def _names_by_index(index):
-    """External ids as an object array indexed by dense id."""
-    names = np.empty(len(index), dtype=object)
-    ids = np.fromiter(index.values(), dtype=np.int64, count=len(index))
-    names[ids] = list(index)
-    return names
-
-
 def cmd_synth(args):
     cfg = load_config(args.config)
     if cfg.synthetic is None:
@@ -208,8 +197,9 @@ def cmd_synth(args):
         cfg.synthetic.seed = args.seed
     raw, catalog = generate_synthetic(cfg.synthetic)
     os.makedirs(args.out, exist_ok=True)
-    user_names = _names_by_index(raw.user_index)
-    item_names = _names_by_index(raw.item_index)
+    # id maps list their ids in dense-id order
+    user_names = np.array(list(raw.user_index), dtype=object)
+    item_names = np.array(list(raw.item_index), dtype=object)
     rows = zip(user_names[raw.pairs[:, 0]], item_names[raw.pairs[:, 1]])
     ipath = os.path.join(args.out, "interactions.csv")
     _write_text(ipath, "user_id,item_id\n" + "".join(f"{u},{i}\n" for u, i in rows))

@@ -64,16 +64,12 @@ def _read_text(path):
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
 
 
-def _read_rows(path, expected_header, text=None):
-    """(line number, stripped cells) of each row after the header."""
-    if text is None:
-        text = _read_text(path)
+def _read_rows(path, expected_header, text):
+    """The stripped cells of the rows after the header, row by row."""
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None or [c.strip() for c in header] != expected_header:
-        raise DataError(
-            f"{path}: expected header '{','.join(expected_header)}'"
-        )
+        raise DataError(f"{path}: expected header '{','.join(expected_header)}'")
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(expected_header):
             raise DataError(
@@ -83,7 +79,7 @@ def _read_rows(path, expected_header, text=None):
         cells = [c.strip() for c in row]
         if any(not c for c in cells):
             raise DataError(f"{path}:{lineno}: empty field")
-        yield lineno, cells
+        yield from cells
 
 
 # what csv.reader and str.strip would act on in ASCII text: quotes, NUL,
@@ -95,18 +91,18 @@ _SPECIAL = '"\x00' + "".join(
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
-def _plain_cells(text):
-    """The cells of a plain ``user_id,item_id`` file, user and item
-    alternating, or None when the line scan must read it.
+def _plain_cells(text, header):
+    """The cells of a plain two-column file, row by row, or None when the
+    line scan must read it.
 
-    Plain means: the header is exactly ``user_id,item_id``, the body is
-    ASCII with no quote, NUL or whitespace other than the newlines ending
-    its lines, and every line holds exactly two non-empty cells.  On such a
-    file the line scan's rows are these cells, stripping changes nothing,
-    and no row fails.
+    Plain means: the header line is exactly ``header``'s names joined by a
+    comma, the body is ASCII with no quote, NUL or whitespace other than
+    the newlines ending its lines, and every line holds exactly two
+    non-empty cells.  On such a file the line scan's rows are these cells,
+    stripping changes nothing, and no row fails.
     """
-    header, _, body = text.partition("\n")
-    if header != "user_id,item_id" or not body:
+    head, _, body = text.partition("\n")
+    if head != ",".join(header) or not body:
         return None
     if body.endswith("\n"):
         body = body[:-1]
@@ -138,13 +134,20 @@ def _dense_ids(cells):
     return ids, index
 
 
+def _cells(path, header):
+    """The body cells of a two-column CSV, row by row (row n is line n + 2):
+    in bulk from a plain file (see ``_plain_cells``), else from the line
+    scan, which also judges and reports malformed rows."""
+    text = _read_text(path)
+    cells = _plain_cells(text, header)
+    return list(_read_rows(path, header, text)) if cells is None else cells
+
+
 def load_interactions(path):
     """Read a `user_id,item_id` CSV into dense-indexed positive pairs.
 
     Duplicate rows collapse to a single pair.  Dense indices are assigned in
     first-seen order, so reloading the same file reproduces the same maps.
-    A plain file (see ``_plain_cells``) is split into cells in bulk; any
-    other by the line scan, which also judges and reports malformed rows.
 
     Args:
         path: CSV file with header ``user_id,item_id``.
@@ -156,12 +159,7 @@ def load_interactions(path):
         DataError: on a missing or unreadable file, malformed row, or an
             empty dataset.
     """
-    text = _read_text(path)
-    cells = _plain_cells(text)
-    if cells is None:
-        rows = _read_rows(path, ["user_id", "item_id"], text)
-        cells = [cell for _, row in rows for cell in row]
-    del text
+    cells = _cells(path, ["user_id", "item_id"])
     if not cells:
         raise DataError(f"{path}: empty dataset")
     users, user_index = _dense_ids(cells[0::2])
@@ -211,19 +209,21 @@ def load_groups(path, item_index):
         GroupCatalog over the ``len(item_index)`` interaction items.
 
     Raises:
-        DataError: for an item id absent from ``item_index``, or when any
-            interaction item ends up with no group label.
+        DataError: on an unreadable file or malformed row, for an item id
+            absent from ``item_index``, or when an item has no group label.
     """
-    names = {}
-    assignments = []
-    for lineno, (i_raw, g_raw) in _read_rows(path, ["item_id", "group"]):
-        if i_raw not in item_index:
-            raise DataError(
-                f"{path}:{lineno}: item '{i_raw}' not in interaction index"
-            )
-        assignments.append((item_index[i_raw], names.setdefault(g_raw, len(names))))
+    cells = _cells(path, ["item_id", "group"])
+    items = cells[0::2]
+    try:
+        item_ids = list(map(item_index.__getitem__, items))
+    except KeyError as exc:
+        raise DataError(
+            f"{path}:{items.index(exc.args[0]) + 2}: item '{exc.args[0]}' "
+            "not in interaction index"
+        ) from None
+    group_ids, names = _dense_ids(cells[1::2])
     memberships = np.zeros((len(item_index), len(names)), dtype=np.uint8)
-    memberships[tuple(np.array(assignments, dtype=np.int64).reshape(-1, 2).T)] = 1
+    memberships[item_ids, group_ids] = 1
     uncovered = np.flatnonzero(memberships.sum(axis=1) == 0)
     if len(uncovered):
         raise DataError(

@@ -1,6 +1,9 @@
 """Matrix-factorization parameters, Adam updates, checkpoints."""
 
 import json
+import math
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,20 +234,22 @@ def load_checkpoint(path):
             )
         try:
             metas = [
-                (meta["name"], tuple(int(n) for n in meta["shape"]))
+                (meta["name"], tuple(map(operator.index, meta["shape"])))
                 for meta in header["arrays"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed checkpoint header") from exc
-        arrays = {}
-        for name, shape in metas:
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * 8)
-            if len(buf) != n * 8:
-                raise DataError(f"{path}: truncated checkpoint")
-            arrays[name] = (
-                np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            )
+        if any(n < 0 for _, shape in metas for n in shape):
+            raise DataError(f"{path}: malformed checkpoint header")
+        # sized before any read, so that no header can ask for more memory
+        # than the file holds
+        sizes = [8 * math.prod(shape) for _, shape in metas]
+        if sum(sizes) > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise DataError(f"{path}: truncated checkpoint")
+        arrays = {
+            name: np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
+            for (name, shape), size in zip(metas, sizes)
+        }
         if fh.read(1):
             raise DataError(f"{path}: unexpected bytes after the last array")
     fatr = header.get("kind") == "fatr"

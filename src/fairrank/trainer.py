@@ -149,10 +149,6 @@ class TrainLog:
             )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-
 
 @dataclass
 class TrainResult:
@@ -175,11 +171,12 @@ def _sample_neg_matrix(dataset, users, count, rng):
     user's training positives.
 
     Rejected draws are redrawn, in C order, until every draw is a
-    negative; each round looks up only the draws it just made.
+    negative; each round looks up only the draws it just made.  A count
+    of 0 draws nothing and needs no candidate.
     """
     m = dataset.num_items
     full = dataset.train_sizes[users] >= m
-    if full.any():
+    if count and full.any():
         raise DataError(
             f"user {int(users[full].min())} has no candidate negative items"
         )
@@ -199,7 +196,8 @@ class _BatchStream:
     One shuffle per pass over the data; pulling ``batches_per_epoch``
     batches consumes exactly one pass no matter who pulls, which is what
     makes the adversarial schedule reduce to the plain one when its extra
-    terms are zeroed.
+    terms are zeroed.  Each batch carries ``negative_rate`` sampled
+    negatives per positive.
     """
 
     def __init__(self, dataset, batch_size, negative_rate, rng):
@@ -338,7 +336,7 @@ class _Trainer:
         )
         self.psi = None
         self.adam_psi = None
-        self.sweep_rng = None
+        self.sweep_stream = None
         # alpha = 0 keeps the discriminator out of every factor step, so
         # it is neither built nor trained
         if config.kind in _DPR_KINDS and config.weights.alpha != 0.0:
@@ -349,7 +347,13 @@ class _Trainer:
                 np.random.default_rng(int(seeds[2])),
             )
             self.adam_psi = AdamState(self.psi.blocks())
-            self.sweep_rng = np.random.default_rng(int(seeds[3]))
+            # rsp's discriminator also sees one negative per positive
+            self.sweep_stream = _BatchStream(
+                dataset,
+                config.batch_size,
+                int(config.kind == "dpr-rsp"),
+                np.random.default_rng(int(seeds[3])),
+            )
         self.adv_work = {}  # discriminator buffers by batch size
         self.plan = self._epoch_plan()
         if 0 < config.eval_every <= len(self.plan) and not len(dataset.val_items):
@@ -599,25 +603,15 @@ class _Trainer:
 
         Returns the mean per-sample log-likelihood seen during the sweep.
         """
-        ds = self.ds
-        order = self.sweep_rng.permutation(ds.num_train_pairs)
         p_mat = self.params.user_factors
         imat = self.params.item_matrix()
         total = 0.0
         count = 0
-        bs = self.cfg.batch_size
-        for start in range(0, len(order), bs):
-            sel = order[start : start + bs]
-            u_b = ds.pos_users[sel]
-            i_b = ds.pos_items[sel]
-            s_i = (p_mat[u_b] * imat[i_b]).sum(axis=1)
-            ll, n = self._psi_update(s_i, self.G[i_b])
-            total += ll
-            count += n
-            if self.cfg.kind == "dpr-rsp":
-                j_b = _sample_neg_matrix(ds, u_b, 1, self.sweep_rng)[:, 0]
-                s_j = (p_mat[u_b] * imat[j_b]).sum(axis=1)
-                ll, n = self._psi_update(s_j, self.G[j_b])
+        for _ in range(self.sweep_stream.batches_per_epoch):
+            u_b, i_b, negs = self.sweep_stream.next_batch()
+            for items in (i_b, *negs.T):
+                s = (p_mat[u_b] * imat[items]).sum(axis=1)
+                ll, n = self._psi_update(s, self.G[items])
                 total += ll
                 count += n
         self.adv_samples_per_sweep = count

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -75,3 +76,22 @@ def random_catalog(rng, num_items, num_groups):
         if memberships[:, a].sum() == 0:
             memberships[rng.integers(0, num_items), a] = 1
     return GroupCatalog([f"g{a}" for a in range(num_groups)], memberships)
+
+
+# checkpoint array shapes that are fractional, negative, or larger than the
+# file and than memory, with the error each must raise
+BAD_CHECKPOINT_SHAPES = {
+    "fractional": ([2.9, 3], "malformed checkpoint header"),
+    "negative": ([-1, 4], "malformed checkpoint header"),
+    "beyond-int64": ([10**12, 10**12], "truncated checkpoint"),
+    "beyond-memory": ([10**7, 10**6], "truncated checkpoint"),
+}
+
+
+def with_first_shape(data, shape):
+    """Checkpoint bytes whose header declares ``shape`` for the first
+    array."""
+    head, body = data.split(b"\n", 1)
+    header = json.loads(head)
+    header["arrays"][0]["shape"] = shape
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + body

@@ -11,7 +11,7 @@ from fairrank.cli import main
 from fairrank.data import InteractionDataset, load_groups, load_interactions
 from fairrank.mf import load_checkpoint, save_checkpoint
 
-from conftest import DATA_DIR
+from conftest import BAD_CHECKPOINT_SHAPES, DATA_DIR, with_first_shape
 from oracles import brute_rank, brute_rsp
 
 SMALL_INTER = os.path.join(DATA_DIR, "interactions_small.csv")
@@ -289,6 +289,42 @@ def test_eval_non_finite_checkpoint_is_domain_error(corpus_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "item matrix hold a non-finite" in err
     assert not out.exists()
+
+
+def test_eval_checkpoint_bad_shapes_are_domain_errors(
+    corpus_dir, tmp_path, capsys
+):
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
+    assert main(["train", "--config", ini]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    data = open(os.path.join(run_dir, "checkpoint"), "rb").read()
+    for shape, fragment in BAD_CHECKPOINT_SHAPES.values():
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_first_shape(data, shape))
+        assert main(["eval", "--config", ini, "--checkpoint", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "parameter,values,fragment",
+    [
+        ("alpha", "inf,1", "must be finite, got 'inf'"),
+        ("alpha", "nan,1", "must be finite, got 'nan'"),
+        ("adv_layers", "1.5,2", "expected an integer, got '1.5'"),
+    ],
+)
+def test_sweep_refuses_what_its_config_key_refuses(
+    parameter, values, fragment, corpus_dir, tmp_path, capsys, caplog
+):
+    ini = _exp_ini(tmp_path / "sweep.ini", corpus_dir, model="dpr-rsp",
+                   extra_train="beta = 0.0\n")
+    with caplog.at_level("INFO"):
+        assert main(["sweep", "--config", ini, "--parameter", parameter,
+                     "--values", values]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and fragment in err
+    assert not [r for r in caplog.records if "sweep:" in r.getMessage()]
 
 
 def test_sweep_table(corpus_dir, tmp_path, capsys):

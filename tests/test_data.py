@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -567,3 +569,48 @@ def test_loaders_reject_unreadable_files(tmp_path, small_raw):
         load_interactions(str(folder))
     with pytest.raises(DataError, match=r"folder\.csv: cannot read"):
         load_groups(str(folder), small_raw.item_index)
+
+
+def _no_line_scan(*args, **kwargs):
+    raise AssertionError("line scan used")
+
+
+def test_load_groups_plain_file_takes_bulk_path(monkeypatch, tmp_path, small_raw):
+    import fairrank.data as data
+
+    plain = os.path.join(DATA_DIR, "groups_small.csv")
+    crlf = tmp_path / "crlf.csv"
+    with open(plain, "rb") as fh:
+        crlf.write_bytes(fh.read().replace(b"\n", b"\r\n"))
+    want = load_groups(str(crlf), small_raw.item_index)
+    monkeypatch.setattr(data, "_read_rows", _no_line_scan)
+    got = load_groups(plain, small_raw.item_index)
+    assert got.group_names == want.group_names == ["red", "yellow", "brown", "dark"]
+    assert got.memberships.dtype == want.memberships.dtype
+    assert got.memberships.tobytes() == want.memberships.tobytes()
+    with pytest.raises(AssertionError, match="line scan used"):
+        load_groups(str(crlf), small_raw.item_index)
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["plain", "crlf"])
+def test_load_groups_unknown_item_names_its_line(line_end, tmp_path, small_raw):
+    path = tmp_path / "g.csv"
+    rows = [b"item_id,group", b"apple,red", b"banana,red", b"mango,red", b"kiwi,red"]
+    path.write_bytes(line_end.join(rows) + line_end)
+    with pytest.raises(DataError, match=r"g\.csv:4: item 'mango' not in"):
+        load_groups(str(path), small_raw.item_index)
+
+
+def test_load_groups_reads_whole_file_before_mapping_items(tmp_path, small_raw):
+    # a malformed row is found before an unknown item on an earlier row
+    path = tmp_path / "g.csv"
+    path.write_text("item_id,group\nmango,red\napple\n")
+    with pytest.raises(DataError, match=r"g\.csv:3: expected 2 columns, got 1"):
+        load_groups(str(path), small_raw.item_index)
+
+
+def test_load_groups_refuses_one_cell_header(tmp_path, small_raw):
+    path = tmp_path / "g.csv"
+    path.write_text('"item_id,group"\napple,red\n')
+    with pytest.raises(DataError, match="expected header 'item_id,group'"):
+        load_groups(str(path), small_raw.item_index)

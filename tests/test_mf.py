@@ -20,7 +20,7 @@ from fairrank.mf import (
     save_checkpoint,
 )
 
-from conftest import DATA_DIR
+from conftest import BAD_CHECKPOINT_SHAPES, DATA_DIR, with_first_shape
 from oracles import ref_adam_step
 
 
@@ -371,6 +371,16 @@ def test_checkpoint_errors(tmp_path):
         )
         with pytest.raises(DataError, match="malformed checkpoint header"):
             load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CHECKPOINT_SHAPES))
+def test_checkpoint_bad_shapes_are_refused(name, tmp_path):
+    shape, fragment = BAD_CHECKPOINT_SHAPES[name]
+    path = tmp_path / "ck"
+    save_checkpoint(str(path), init_params(3, 3, 2, seed=0))
+    path.write_bytes(with_first_shape(path.read_bytes(), shape))
+    with pytest.raises(DataError, match=fragment):
+        load_checkpoint(str(path))
 
 
 def _raw_arrays(path):
