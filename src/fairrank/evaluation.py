@@ -125,12 +125,26 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
     before the next block is scored; an error a part raises is raised as
     it is, the first part's in row order when several fail.  A part may
     write only its own rows, of ``scores`` and of any scratch.
+
+    Every score block is made here, so this is the one gate on the model:
+    DataError if ``params`` are not the dataset's shape or a factor is not
+    finite, which would rank and score wrongly yet plausibly.
     """
-    n = dataset.num_users if users is None else len(users)
-    buf = _block_buffer(n, dataset.num_items)
+    n, m = dataset.num_users, dataset.num_items
+    if (params.num_users, params.num_items) != (n, m):
+        raise DataError(
+            "parameter dimensions do not match dataset "
+            f"({params.num_users}x{params.num_items} vs {n}x{m})"
+        )
+    factors = {"user factors": params.user_factors, "item matrix": params.item_matrix()}
+    for name, x in factors.items():
+        if not np.isfinite(x).all():
+            raise DataError(f"the {name} hold a non-finite value")
+    n = n if users is None else len(users)
+    buf = _block_buffer(n, m)
     parts = min(THREADS, MAX_PARTS)
     with ThreadPoolExecutor(max(parts - 1, 1), "fairrank-eval") as pool:
-        for a, b in _blocks(n, dataset.num_items):
+        for a, b in _blocks(n, m):
             ids = np.arange(a, b) if users is None else users[a:b]
             scores = _score_matrix(params, ids, out=buf)
             scores[_block_pairs(dataset, "pos", ids, positions=False)] = np.nan
@@ -151,16 +165,18 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
 
 
 def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
-    """Top-k items per user, excluded items masked out.
+    """Top-k items per user, excluded items never ranked.
 
     Args:
         params: MfParams.
         dataset: InteractionDataset matching the model dimensions.
         k: list length, >= 1.
-        exclude: "train" or "train+val"; masked items never appear.
+        exclude: "train" or "train+val".  Excluded pairs are NaN, which
+            ranks nowhere: the training pairs from the sweep, the val pairs
+            set here.
         on_block: optional ``on_block(lo, hi, scores)``, called once per
             block, in order and on the calling thread, with users lo..hi-1's
-            (hi - lo, M) scores, training pairs NaN, before any masking.  It
+            (hi - lo, M) scores, training pairs NaN, val pairs not yet.  It
             must only read: ``scores`` is a reused buffer that the next block
             overwrites.
 
@@ -173,16 +189,6 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
         raise ValueError("k: must be >= 1")
     if exclude not in (EXCLUDE_TRAIN, EXCLUDE_TRAIN_VAL):
         raise ValueError(f"exclude: unknown mode '{exclude}'")
-    if (
-        params.num_users != dataset.num_users
-        or params.num_items != dataset.num_items
-    ):
-        raise DataError(
-            "parameter dimensions do not match dataset "
-            f"({params.num_users}x{params.num_items} vs "
-            f"{dataset.num_users}x{dataset.num_items})"
-        )
-    masked = ["pos", "val"] if exclude == EXCLUDE_TRAIN_VAL else ["pos"]
     n = dataset.num_users
     depth = min(k, dataset.num_items) - 1
     items = np.full((n, depth + 1), -1, dtype=np.int64)
@@ -190,9 +196,9 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     work = _block_buffer(n, dataset.num_items)
 
     def rank_rows(lo, hi, i, scores):
-        ids = np.arange(lo, hi)
-        for split in masked:
-            scores[_block_pairs(dataset, split, ids, positions=False)] = -np.inf
+        if exclude == EXCLUDE_TRAIN_VAL:
+            val = _block_pairs(dataset, "val", np.arange(lo, hi), positions=False)
+            scores[val] = np.nan
         # the key is -score; partition sorts NaN last, like a full sort
         part = np.negative(scores, out=work[i : i + hi - lo])
         part.partition(depth, axis=1)
@@ -651,13 +657,7 @@ def evaluate_model(
     exclude=EXCLUDE_TRAIN_VAL,
     js_user_pairs=1000,
 ):
-    """Full evaluation of a trained model into a FairnessReport; DataError
-    if the factors hold a NaN or an infinity, which would rank and score
-    wrongly yet plausibly."""
-    factors = {"user factors": params.user_factors, "item matrix": params.item_matrix()}
-    for name, x in factors.items():
-        if not np.isfinite(x).all():
-            raise DataError(f"evaluate_model: the {name} hold a non-finite value")
+    """Full evaluation of a trained model into a FairnessReport."""
     ks = sorted(int(k) for k in ks)
     # the ranking's blocks also feed both group divergences
     js_group = _GroupJS(params, dataset, catalog)

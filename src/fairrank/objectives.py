@@ -1,8 +1,9 @@
 """Loss terms with analytic gradients.
 
-Every term returns its value together with exact gradients wrt its inputs;
-the trainer composes them and the test suite checks each against central
-finite differences.
+Every term returns its value together with exact gradients wrt its inputs,
+and has one implementation, the one the trainer runs: the one-pair and
+one-user forms are calls of the batch forms.  The test suite checks each
+against central finite differences.
 """
 
 import logging
@@ -37,45 +38,57 @@ class ObjectiveWeights:
         return self.lambda_theta if self.gamma is None else self.gamma
 
 
-def bpr_pair_loss(score_pos, score_neg):
-    """-ln sigma(score_pos - score_neg); returns (loss, d_pos, d_neg)."""
-    d = score_pos - score_neg
-    loss = np.logaddexp(0.0, -d)
-    g_pos = -sigmoid(-d)  # equals sigma(d) - 1
-    return float(loss), float(g_pos), float(-g_pos)
-
-
 def bpr_pair_loss_batch(score_pos, score_neg):
-    """Vectorized pair loss; d_neg is the negation of the returned d_pos."""
+    """-ln sigma(score_pos - score_neg) elementwise; returns (loss, d_pos),
+    d_neg being -d_pos."""
     d = np.asarray(score_pos, dtype=np.float64) - np.asarray(
         score_neg, dtype=np.float64
     )
     return np.logaddexp(0.0, -d), -sigmoid(-d)
 
 
-def kl_loss_user(scores):
-    """Moment-matched KL(Normal(mean, var) || Normal(0, 1)) of one user's
-    batch scores: (mean^2 + var - 1)/2 - ln(var)/2 with population variance.
+def bpr_pair_loss(score_pos, score_neg):
+    """One pair's loss; returns (loss, d_pos, d_neg)."""
+    loss, g_pos = bpr_pair_loss_batch(score_pos, score_neg)
+    return float(loss), float(g_pos), float(-g_pos)
 
-    Fewer than two scores contributes nothing.  The variance is floored at
-    1e-8; in the floored regime the gradient flows through the mean only.
+
+def kl_loss_batch(scores, inv):
+    """Mean per-user score-normalization term over one batch.
+
+    Each user's term is the moment-matched KL(Normal(mean, var) ||
+    Normal(0, 1)) of its scores: (mean^2 + var - 1)/2 - ln(var)/2 with
+    population variance, floored at KL_VAR_FLOOR; in the floored regime the
+    gradient flows through the mean only.  Users with fewer than two scores
+    are skipped.  ``inv`` numbers each score's user among the batch's U
+    users, 0..U-1, as np.unique(users, return_inverse=True) does.
 
     Returns:
-        (loss, grad) with grad shaped like scores.
+        (value, per-score gradient of the mean).
     """
+    cnt = np.bincount(inv).astype(np.float64)
+    mu = np.bincount(inv, weights=scores) / cnt
+    var = np.bincount(inv, weights=scores * scores) / cnt - mu * mu
+    var = np.maximum(var, 0.0)
+    ok = cnt >= 2
+    n_ok = int(ok.sum())
+    if n_ok == 0:
+        return 0.0, np.zeros_like(scores)
+    floored = var < KL_VAR_FLOOR
+    var_eff = np.maximum(var, KL_VAR_FLOOR)
+    per_user = (mu * mu + var_eff - 1.0) / 2.0 - 0.5 * np.log(var_eff)
+    value = float(per_user[ok].sum() / n_ok)
+    centered = scores - mu[inv]
+    var_term = np.where(floored[inv], 0.0, 1.0 - 1.0 / var_eff[inv])
+    g = (mu[inv] + var_term * centered) / cnt[inv]
+    g = np.where(ok[inv], g, 0.0) / n_ok
+    return value, g
+
+
+def kl_loss_user(scores):
+    """One user's term; returns (loss, grad) with grad shaped like scores."""
     s = np.asarray(scores, dtype=np.float64)
-    n = s.size
-    if n < 2:
-        return 0.0, np.zeros_like(s)
-    mu = s.mean()
-    var = s.var()
-    if var < KL_VAR_FLOOR:
-        loss = (mu * mu + KL_VAR_FLOOR - 1.0) / 2.0 - 0.5 * np.log(KL_VAR_FLOOR)
-        grad = np.full_like(s, mu / n)
-        return float(loss), grad
-    loss = (mu * mu + var - 1.0) / 2.0 - 0.5 * np.log(var)
-    grad = mu / n + (1.0 - 1.0 / var) * (s - mu) / n
-    return float(loss), grad
+    return kl_loss_batch(s, np.zeros(s.size, dtype=np.intp))
 
 
 def fatr_reg(item_free, item_sensitive):
@@ -101,29 +114,23 @@ def fatr_reg(item_free, item_sensitive):
     return loss, grad
 
 
-def _mean_gap_penalty(scores_a, scores_b, label):
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        log.debug("%s: a group is absent from the batch, penalty 0", label)
-        return 0.0, np.zeros_like(a), np.zeros_like(b)
-    gap = a.mean() - b.mean()
-    loss = 0.5 * gap * gap
-    return (
-        float(loss),
-        np.full_like(a, gap / a.size),
-        np.full_like(b, -gap / b.size),
-    )
-
-
 def reg_rsp_penalty(scores_g1, scores_g2):
     """Half squared gap between the two groups' mean batch scores.
 
     Returns (loss, grad_g1, grad_g2); an empty side yields zero penalty.
     """
-    return _mean_gap_penalty(scores_g1, scores_g2, "reg_rsp_penalty")
+    a = np.asarray(scores_g1, dtype=np.float64)
+    b = np.asarray(scores_g2, dtype=np.float64)
+    if a.size == 0 or b.size == 0:
+        log.debug("gap penalty: a group is absent from the batch, penalty 0")
+        return 0.0, np.zeros_like(a), np.zeros_like(b)
+    gap = a.mean() - b.mean()
+    return (
+        float(0.5 * gap * gap),
+        np.full_like(a, gap / a.size),
+        np.full_like(b, -gap / b.size),
+    )
 
 
-def reg_reo_penalty(pos_scores_g1, pos_scores_g2):
-    """Same gap penalty restricted to positive-pair scores."""
-    return _mean_gap_penalty(pos_scores_g1, pos_scores_g2, "reg_reo_penalty")
+# reg-reo takes the same gap over positive-pair scores only
+reg_reo_penalty = reg_rsp_penalty

@@ -31,10 +31,10 @@ from .errors import ConfigError, DataError, TrainingDiverged
 from .evaluation import f1_at_k, rank_topk
 from .mf import AdamState, adam_step, init_params
 from .objectives import (
-    KL_VAR_FLOOR,
     ObjectiveWeights,
     bpr_pair_loss_batch,
     fatr_reg,
+    kl_loss_batch as _batch_kl,
     reg_rsp_penalty,
 )
 
@@ -691,33 +691,6 @@ class _Trainer:
             params, self.params, psi, self.log, self.adv_samples_per_sweep,
             best_f1,
         )
-
-
-def _batch_kl(scores, inv):
-    """Mean per-user score-normalization term over one batch.
-
-    Users are represented by their score instances in the batch; those with
-    fewer than two are skipped.  ``inv`` numbers each instance's user among
-    the batch's U users, 0..U-1, as np.unique(users, return_inverse=True)
-    does.  Returns (value, per-instance gradient of the mean).
-    """
-    cnt = np.bincount(inv).astype(np.float64)
-    mu = np.bincount(inv, weights=scores) / cnt
-    var = np.bincount(inv, weights=scores * scores) / cnt - mu * mu
-    var = np.maximum(var, 0.0)
-    ok = cnt >= 2
-    n_ok = int(ok.sum())
-    if n_ok == 0:
-        return 0.0, np.zeros_like(scores)
-    floored = var < KL_VAR_FLOOR
-    var_eff = np.maximum(var, KL_VAR_FLOOR)
-    per_user = (mu * mu + var_eff - 1.0) / 2.0 - 0.5 * np.log(var_eff)
-    value = float(per_user[ok].sum() / n_ok)
-    centered = scores - mu[inv]
-    var_term = np.where(floored[inv], 0.0, 1.0 - 1.0 / var_eff[inv])
-    g = (mu[inv] + var_term * centered) / cnt[inv]
-    g = np.where(ok[inv], g, 0.0) / n_ok
-    return value, g
 
 
 def train(config, dataset, catalog=None):

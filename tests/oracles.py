@@ -622,3 +622,41 @@ def ref_load_interactions(path):
     return RawInteractions(
         np.array(pairs, dtype=np.int64), user_index, item_index
     )
+
+
+# ---- loss terms: the scalar pair and per-user forms, as first written -------
+
+
+def ref_bpr_pair_loss(score_pos, score_neg):
+    """-ln sigma(score_pos - score_neg); returns (loss, d_pos, d_neg)."""
+    d = score_pos - score_neg
+    loss = np.logaddexp(0.0, -d)
+    g_pos = -sigmoid(-d)  # equals sigma(d) - 1
+    return float(loss), float(g_pos), float(-g_pos)
+
+
+def ref_kl_loss_user(scores):
+    """Moment-matched KL(Normal(mean, var) || Normal(0, 1)) of one user's
+    batch scores: (mean^2 + var - 1)/2 - ln(var)/2 with population variance.
+
+    Fewer than two scores contributes nothing.  The variance is floored at
+    1e-8; in the floored regime the gradient flows through the mean only.
+
+    Returns:
+        (loss, grad) with grad shaped like scores.
+    """
+    from fairrank.objectives import KL_VAR_FLOOR
+
+    s = np.asarray(scores, dtype=np.float64)
+    n = s.size
+    if n < 2:
+        return 0.0, np.zeros_like(s)
+    mu = s.mean()
+    var = s.var()
+    if var < KL_VAR_FLOOR:
+        loss = (mu * mu + KL_VAR_FLOOR - 1.0) / 2.0 - 0.5 * np.log(KL_VAR_FLOOR)
+        grad = np.full_like(s, mu / n)
+        return float(loss), grad
+    loss = (mu * mu + var - 1.0) / 2.0 - 0.5 * np.log(var)
+    grad = mu / n + (1.0 - 1.0 / var) * (s - mu) / n
+    return float(loss), grad

@@ -240,6 +240,26 @@ def test_audit_with_checkpoint(corpus_dir, tmp_path, capsys):
     assert np.allclose([float(p) for _, p in rows], expected, rtol=1e-12)
 
 
+def test_audit_non_finite_checkpoint_is_domain_error(corpus_dir, tmp_path, capsys):
+    # a plausible exposure spread would hide the broken factors
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
+    assert main(["train", "--config", ini]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    params, _, config_hash = load_checkpoint(os.path.join(run_dir, "checkpoint"))
+    params.user_factors[2] = np.nan
+    params.item_factors[4] = np.inf
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(bad, params, config_hash)
+    assert main(["audit",
+                 "--interactions", str(corpus_dir / "interactions.csv"),
+                 "--groups", str(corpus_dir / "groups.csv"),
+                 "--checkpoint", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "hold a non-finite" in captured.err
+    assert "exposure relative spread" not in captured.out
+
+
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_audit_rejects_k_below_one(k, capsys):
     assert main(["audit", "--interactions", SMALL_INTER,

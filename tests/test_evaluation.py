@@ -410,6 +410,38 @@ def test_evaluate_model_rejects_non_finite_params(where, value):
         evaluate_model(params, ds, cat, ks=(2,), js_user_pairs=20)
 
 
+_DIVERGENCES = {
+    "group-all": lambda p, ds, cat: group_divergence(p, ds, cat, mode="all"),
+    "group-positive": lambda p, ds, cat: group_divergence(
+        p, ds, cat, mode="positive"
+    ),
+    "user": lambda p, ds, cat: user_divergence(p, ds, sample_pairs=50),
+}
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [("extra-users", "do not match"), ("nan-item", "item matrix hold a non-finite")],
+    ids=["extra-users", "nan-item"],
+)
+@pytest.mark.parametrize("divergence", sorted(_DIVERGENCES))
+def test_divergences_alone_refuse_bad_models(divergence, bad, match):
+    # called on their own, not through evaluate_model: a plausible
+    # divergence would hide the mismatch
+    rng = np.random.default_rng(6)
+    ds = random_dataset(rng, 30, 20)
+    cat = random_catalog(rng, 20, 2)
+    fn = _DIVERGENCES[divergence]
+    fn(init_params(30, 20, 4, seed=2), ds, cat)
+    if bad == "extra-users":
+        params = init_params(35, 20, 4, seed=2)
+    else:
+        params = init_params(30, 20, 4, seed=2)
+        params.item_factors[7] = np.nan
+    with pytest.raises(DataError, match=match):
+        fn(params, ds, cat)
+
+
 def test_evaluate_model_zero_spread_is_a_data_error():
     # every user's test item scores last, so no top-1 list holds a test hit
     # and every group's reo@1 probability is 0

@@ -9,10 +9,13 @@ from fairrank.objectives import (
     bpr_pair_loss,
     bpr_pair_loss_batch,
     fatr_reg,
+    kl_loss_batch,
     kl_loss_user,
     reg_reo_penalty,
     reg_rsp_penalty,
 )
+
+from oracles import ref_bpr_pair_loss, ref_kl_loss_user
 
 
 def test_bpr_hand_values():
@@ -228,3 +231,78 @@ def test_weights_gamma_default():
     assert w.gamma_or_default() == 0.07
     w2 = ObjectiveWeights(lambda_theta=0.07, gamma=0.5)
     assert w2.gamma_or_default() == 0.5
+
+
+def _ref_batch_kl(scores, users):
+    """The mean of the scalar reference over the users with two or more
+    scores, and its per-score gradient."""
+    values, grad = [], np.zeros_like(scores)
+    for u in np.unique(users):
+        idx = np.flatnonzero(users == u)
+        if len(idx) >= 2:
+            value, grad[idx] = ref_kl_loss_user(scores[idx])
+            values.append(value)
+    if not values:
+        return 0.0, grad
+    return float(np.mean(values)), grad / len(values)
+
+
+def test_kl_loss_batch_matches_scalar_reference():
+    rng = np.random.default_rng(7)
+    # users 0-3 random, 4 a singleton (skipped), 5 constant (variance floor)
+    users = np.concatenate([rng.integers(0, 4, size=30), [4], np.full(5, 5)])
+    scores = np.concatenate(
+        [rng.normal(scale=1.5, size=30), [0.7], np.full(5, -1.3)]
+    )
+    perm = rng.permutation(len(users))
+    users, scores = users[perm], scores[perm]
+    value, grad = kl_loss_batch(scores, users)
+    ref_value, ref_grad = _ref_batch_kl(scores, users)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert np.allclose(grad, ref_grad, rtol=1e-9, atol=1e-15)
+    assert np.all(grad[users == 4] == 0.0)
+    floored = users == 5
+    assert np.allclose(grad[floored], -1.3 / 5 / 5, rtol=1e-12)
+
+
+def test_kl_loss_batch_empty_and_all_skipped():
+    value, grad = kl_loss_batch(np.array([]), np.array([], dtype=np.intp))
+    assert value == 0.0 and grad.shape == (0,)
+    value, grad = kl_loss_batch(np.array([1.0, 2.0]), np.array([0, 1]))
+    assert value == 0.0 and np.all(grad == 0.0)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [[], [3.0], [0.0, 2.0], [-1.0, 1.0], [2.0] * 4, [0.3, -1.2, 2.5, 0.9, -0.4]],
+)
+def test_kl_loss_user_matches_scalar_reference(scores):
+    s = np.array(scores)
+    loss, grad = kl_loss_user(s)
+    ref_loss, ref_grad = ref_kl_loss_user(s)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-15)
+    assert grad.shape == ref_grad.shape
+    assert np.allclose(grad, ref_grad, rtol=1e-9, atol=1e-15)
+
+
+def test_bpr_pair_loss_batch_matches_scalar_reference():
+    rng = np.random.default_rng(8)
+    # saturated pairs on both sides, an exact tie, and random pairs
+    pos = np.concatenate([[800.0, -800.0, 0.0, 5.0], rng.normal(scale=3, size=8)])
+    neg = np.concatenate([[0.0, 0.0, 800.0, 5.0], rng.normal(scale=3, size=8)])
+    losses, g_pos = bpr_pair_loss_batch(pos, neg)
+    for j in range(len(pos)):
+        loss, d_pos, d_neg = ref_bpr_pair_loss(pos[j], neg[j])
+        assert np.isclose(losses[j], loss, rtol=1e-14, atol=0.0)
+        assert np.isclose(g_pos[j], d_pos, rtol=1e-14, atol=1e-300)
+        assert np.isclose(-g_pos[j], d_neg, rtol=1e-14, atol=1e-300)
+        assert bpr_pair_loss(pos[j], neg[j]) == pytest.approx(
+            (loss, d_pos, d_neg), rel=1e-14, abs=1e-300
+        )
+    # the trainer's (B, 1) positives against (B, R) negatives
+    losses, g_pos = bpr_pair_loss_batch(pos[:6, None], neg.reshape(6, 2))
+    for b in range(6):
+        for r in range(2):
+            loss, d_pos, _ = ref_bpr_pair_loss(pos[b], neg[2 * b + r])
+            assert np.isclose(losses[b, r], loss, rtol=1e-14, atol=0.0)
+            assert np.isclose(g_pos[b, r], d_pos, rtol=1e-14, atol=1e-300)
