@@ -12,7 +12,11 @@ each with scratch for its own rows only, so the scratch of all parts adds
 up to one block, and the histograms that run at once hold at most one
 more.  Every JS divergence, of users or of groups, is counted and summed
 by one accumulator, ``_MeanJS``, whose integer counts add up to the same
-numbers in any order, so the output does not depend on the parts.
+numbers in any order, so the output does not depend on the parts.  Large
+one-range samples (a group's scores) are binned by ``np.histogram``; the
+many short per-user rows are sorted in their parts and counted by binary
+search of each range's bin edges, which bins every value as
+``np.histogram`` does.
 """
 
 import json
@@ -49,6 +53,11 @@ THREADS = (
 # quotas: on 2 CPUs, cutting each block into 8 parts made evaluation
 # slower than one part did.
 MAX_PARTS = 3
+
+# every score is at most d * max|user factor| * max|item factor| in size;
+# below this bound, scores and the widths of score ranges stay finite with
+# room for rounding
+SCORE_BOUND = np.finfo(np.float64).max / 4
 
 
 @dataclass
@@ -127,8 +136,9 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
     write only its own rows, of ``scores`` and of any scratch.
 
     Every score block is made here, so this is the one gate on the model:
-    DataError if ``params`` are not the dataset's shape or a factor is not
-    finite, which would rank and score wrongly yet plausibly.
+    DataError if ``params`` are not the dataset's shape, a factor is not
+    finite, or the factors are large enough for a score to overflow, any of
+    which would rank and score wrongly yet plausibly.
     """
     n, m = dataset.num_users, dataset.num_items
     if (params.num_users, params.num_items) != (n, m):
@@ -137,9 +147,18 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
             f"({params.num_users}x{params.num_items} vs {n}x{m})"
         )
     factors = {"user factors": params.user_factors, "item matrix": params.item_matrix()}
+    big = []
     for name, x in factors.items():
-        if not np.isfinite(x).all():
+        # max propagates NaN
+        big.append(float(np.abs(x).max(initial=0.0)))
+        if not np.isfinite(big[-1]):
             raise DataError(f"the {name} hold a non-finite value")
+    bound = big[0] * big[1] * params.dim
+    if bound > SCORE_BOUND:
+        raise DataError(
+            f"the factors are too large to score: d * max|user factor| * "
+            f"max|item factor| = {bound:.3g} exceeds {SCORE_BOUND:.3g}"
+        )
     n = n if users is None else len(users)
     buf = _block_buffer(n, m)
     parts = min(THREADS, MAX_PARTS)
@@ -354,12 +373,16 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
 
     Both samples are histogrammed over their joint min..max range with
     equal-width bins and add-eps smoothing; natural log, so the value lies
-    in [0, ln 2].  A degenerate joint range returns 0.
+    in [0, ln 2].  A degenerate joint range returns 0.  ValueError on an
+    empty sample or a value that is not finite; DataError on a joint range
+    too narrow for ``bins`` distinct bin edges.
     """
     a = np.asarray(samples_a, dtype=np.float64).ravel()
     b = np.asarray(samples_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("js_divergence: empty sample")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("js_divergence: a sample holds a NaN or an infinity")
     js = _MeanJS([a.min(), b.min()], [a.max(), b.max()], [(0, 1)], bins)
     js.add(0, a)
     js.add(1, b)
@@ -368,36 +391,75 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
 
 class _MeanJS:
     """Mean JS divergence over ``pairs`` (a, b) of samples, sample a in
-    [lo[a], hi[a]].
+    [lo[a], hi[a]], every bound finite.  DataError if a joint range is too
+    narrow for ``bins`` distinct edges, which ``np.histogram`` refuses.
 
-    ``add`` histograms a chunk of one sample once per joint range of its
-    sample's pairs and adds the counts up under a lock, so threads may add
-    at once.  The bin rule is per value (NaN counts nowhere) and the
-    counts are integers, so they are the same however a sample is cut into
-    chunks and in whatever order the chunks come.  A pair whose joint
-    range is one point is never counted: both its sides stay 0, so its
-    divergence is exactly 0.
+    ``add`` and ``add_sorted`` count chunks of samples once per joint range
+    of their sample's pairs and add the counts up under a lock, so threads
+    may add at once.  ``add`` bins with ``np.histogram``.  ``add_sorted``
+    takes ascending rows and counts each range with one binary search of
+    the ``np.linspace`` bin edges that ``np.histogram`` makes, so it counts
+    what ``add`` would.  The bin rule is per value ([e_i, e_i+1), the last
+    bin closed, NaN counted nowhere) and the counts are integers, so they
+    are the same however a sample is cut into chunks and in whatever order
+    the chunks come.  A pair whose joint range is one point is never
+    counted: both its sides stay 0, so its divergence is exactly 0.
     """
 
     def __init__(self, lo, hi, pairs, bins=JS_BINS):
         self.sides = np.ravel(pairs)
         self.ranges = [(min(lo[a], lo[b]), max(hi[a], hi[b])) for a, b in pairs]
+        first, last = np.array(self.ranges).reshape(-1, 2).T
+        live = first != last
+        # np.linspace takes another path for the whole batch once one step
+        # is 0, as it is for a one-point range; a live range whose step is
+        # 0 is refused below, so each kept row is np.histogram's np.linspace
+        keys = np.zeros((len(first), bins + 1))
+        keys[live] = np.linspace(first[live], last[live], bins + 1, axis=1)
+        narrow = live & (keys[:, 1:] <= keys[:, :-1]).any(axis=1)
+        if narrow.any():
+            r = [float(x) for x in self.ranges[int(np.argmax(narrow))]]
+            raise DataError(f"score range {r} is too narrow for {bins} bins")
+        # values below the next float are those at or below the last edge
+        keys[:, -1] = np.nextafter(keys[:, -1], np.inf)
+        self.keys = keys
+        # the sides of live pairs by sample: sample a's are
+        # sorted_sides[starts[a]:starts[a + 1]]
+        counted = np.flatnonzero(np.repeat(live, 2))
+        self.sorted_sides = counted[np.argsort(self.sides[counted], kind="stable")]
+        self.starts = np.searchsorted(
+            self.sides[self.sorted_sides], np.arange(len(lo) + 1)
+        )
         # row j of counts is side j % 2 of pair j // 2
         self.counts = np.zeros((len(self.sides), bins), dtype=np.int64)
         self.lock = threading.Lock()
 
     def add(self, a, x):
         """Count the values ``x`` of sample ``a``."""
-        made, sides = {}, []
-        for j in np.flatnonzero(self.sides == a).tolist():
+        sides = self.sorted_sides[self.starts[a] : self.starts[a + 1]].tolist()
+        made = {}
+        for j in sides:
             r = self.ranges[j // 2]
-            if r[0] != r[1]:
-                if r not in made:
-                    made[r] = np.histogram(x, self.counts.shape[1], r)[0]
-                sides.append((j, r))
+            if r not in made:
+                made[r] = np.histogram(x, self.counts.shape[1], r)[0]
         with self.lock:
-            for j, r in sides:
-                self.counts[j] += made[r]
+            for j in sides:
+                self.counts[j] += made[self.ranges[j // 2]]
+
+    def add_sorted(self, a, x):
+        """Count the rows of ``x``, samples a, a + 1, ..., each ascending
+        with NaN last."""
+        starts = self.starts[a : a + len(x) + 1]
+        j = self.sorted_sides[starts[0] : starts[-1]]
+        keys = self.keys[j // 2]
+        below = np.empty(keys.shape, dtype=np.int64)
+        starts = (starts - starts[0]).tolist()
+        for row, s, e in zip(x, starts, starts[1:]):
+            if s < e:
+                below[s:e] = row.searchsorted(keys[s:e])
+        counts = np.diff(below, axis=1)
+        with self.lock:
+            self.counts[j] += counts
 
     def value(self):
         total = 0.0
@@ -414,9 +476,9 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
 
     ``sample_pairs`` (u, v) pairs are drawn uniformly with u != v.  Each user
     is represented by their scores over non-training items.  Only sampled
-    users are scored, in blocks: a first pass takes each user's score range,
-    its rows split into parts, and a second, on the calling thread, each
-    user's histograms over the joint ranges of its pairs.
+    users are scored, in blocks, twice, each block's rows split into parts:
+    a first sweep takes each user's score range, and a second sorts each
+    user's row and counts it over the joint ranges of its pairs.
     """
     n = dataset.num_users
     if n < 2:
@@ -448,13 +510,12 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
     sides = np.searchsorted(users, np.stack((us, vs), axis=1))
     js = _MeanJS(lo.tolist(), hi.tolist(), sides)
 
-    # one np.histogram of a row is mostly interpreter time: threads would
-    # only contend for the interpreter
-    def histograms(a, b, scores):
-        for i, row in enumerate(scores):
-            js.add(a + i, row)
+    def histograms(a, b, i, scores):
+        # sorts NaN, the training pairs, last, with the interpreter released
+        scores.sort(axis=1)
+        js.add_sorted(a, scores)
 
-    _sweep(params, dataset, users, on_block=histograms)
+    _sweep(params, dataset, users, part=histograms)
     return js.value()
 
 

@@ -311,6 +311,24 @@ def test_eval_non_finite_checkpoint_is_domain_error(corpus_dir, tmp_path, capsys
     assert not out.exists()
 
 
+def test_eval_overflowing_checkpoint_is_domain_error(corpus_dir, tmp_path, capsys):
+    # finite factors whose scores overflow to inf once evaluated with a
+    # traceback and ranked item 4 first for every user
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
+    assert main(["train", "--config", ini]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    params, _, config_hash = load_checkpoint(os.path.join(run_dir, "checkpoint"))
+    params.user_factors *= 1e200
+    params.item_factors[4] *= 1e200
+    bad = str(tmp_path / "big.ckpt")
+    save_checkpoint(bad, params, config_hash)
+    out = tmp_path / "out"
+    assert main(["eval", "--config", ini, "--checkpoint", bad, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large to score" in err
+    assert not out.exists()
+
+
 def test_eval_checkpoint_bad_shapes_are_domain_errors(
     corpus_dir, tmp_path, capsys
 ):

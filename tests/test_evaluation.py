@@ -18,6 +18,7 @@ from fairrank.data import (
 )
 from fairrank.errors import DataError
 from fairrank.evaluation import (
+    JS_BINS,
     FairnessReport,
     evaluate_model,
     f1_at_k,
@@ -267,6 +268,18 @@ def test_js_divergence_properties():
         js_divergence([], [1.0])
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [([1.0, 2.0], [np.nan, np.nan]), ([np.nan, 1.0], [1.0, 2.0]),
+     ([np.inf, 1.0], [1.0, 2.0]), ([1.0, 2.0], [-np.inf, 0.0])],
+    ids=["all-nan", "one-nan", "inf", "minus-inf"],
+)
+def test_js_divergence_refuses_non_finite_samples(a, b):
+    # an all-NaN sample once gave a plausible 0.608, others a bare numpy error
+    with pytest.raises(ValueError, match="^js_divergence: a sample holds a NaN"):
+        js_divergence(a, b)
+
+
 def test_js_divergence_matches_hand_binning():
     # interior values, 4 bins over [0, 4): unambiguous bin assignment
     a = [0.5, 0.5, 1.5, 2.5]
@@ -440,6 +453,84 @@ def test_divergences_alone_refuse_bad_models(divergence, bad, match):
         params.item_factors[7] = np.nan
     with pytest.raises(DataError, match=match):
         fn(params, ds, cat)
+
+
+_SCORERS = dict(
+    _DIVERGENCES,
+    rank=lambda p, ds, cat: rank_topk(p, ds, 5),
+    evaluate=lambda p, ds, cat: evaluate_model(p, ds, cat, js_user_pairs=50),
+)
+
+
+@pytest.mark.parametrize("scorer", sorted(_SCORERS))
+def test_scorers_refuse_factors_whose_scores_overflow(scorer):
+    # finite factors, but item 5 scores +-inf for most users: ranking put it
+    # first, user_divergence died with numpy's bare ValueError
+    rng = np.random.default_rng(6)
+    ds = random_dataset(rng, 30, 20)
+    cat = random_catalog(rng, 20, 2)
+    fn = _SCORERS[scorer]
+    params = init_params(30, 20, 4, seed=2)
+    params.user_factors *= 1e200
+    params.item_factors[5] *= 1e200
+    with np.errstate(over="ignore"):
+        assert np.isinf(evaluation._score_matrix(params)[:, 5]).any()
+    with pytest.raises(DataError, match="^the factors are too large to score"):
+        fn(params, ds, cat)
+    # just inside the bound, every score and score range is finite
+    params = init_params(30, 20, 4, seed=2)
+    root = np.sqrt(evaluation.SCORE_BOUND / 4) * 0.999
+    params.user_factors *= root / np.abs(params.user_factors).max()
+    params.item_factors[5] *= root / np.abs(params.item_factors).max()
+    fn(params, ds, cat)
+
+
+def test_sorted_counts_equal_np_histogram():
+    # rows hold every bin edge of their pairs' ranges, the last one too,
+    # values beyond the ranges, +-0.0 and NaN; row 3 is one value repeated;
+    # row 4 is all NaN; rows 3 and 4 make a range of one point, rows 5 and 6
+    # one 64 floats wide
+    rng = np.random.default_rng(12)
+    eps = np.finfo(np.float64).eps
+    lo = [-1.3, -0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
+    hi = [2.7, 0.3, 1e-3, 0.5, 0.5, 1.0 + 32 * eps, 1.0 + 64 * eps]
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 0), (0, 3), (3, 4), (1, 4), (5, 6)]
+    js = evaluation._MeanJS(lo, hi, pairs)
+    rows = np.full((7, 700), np.nan)
+    for a in (0, 1, 2, 5, 6):
+        planted = [0.0, -0.0]
+        for (u, v), r in zip(pairs, js.ranges):
+            if a in (u, v):
+                planted += np.linspace(*r, JS_BINS + 1).tolist()
+        width = hi[a] - lo[a]
+        planted += rng.uniform(lo[a] - width, hi[a] + width, size=100).tolist()
+        rows[a, : len(planted)] = rng.permutation(planted)
+    rows[3] = 0.5
+    x = np.sort(rows, axis=1)
+    js.add_sorted(0, x[:2])
+    js.add_sorted(2, x[2:])
+    for j, a in enumerate(np.ravel(pairs)):
+        r = js.ranges[j // 2]
+        if r[0] == r[1]:
+            assert not js.counts[j].any(), (j, r)
+        else:
+            assert np.array_equal(js.counts[j], np.histogram(rows[a], JS_BINS, r)[0])
+    assert js.counts[4 * 2 + 1].max() == 700  # the repeated value, one bin
+    assert js.counts[0].sum() >= JS_BINS + 1  # every edge, the last one too
+
+
+def test_ranges_too_narrow_for_the_bins_are_refused():
+    # 51 edges over fewer floats repeat some; np.histogram refused them with
+    # a bare ValueError, and counting by them would give plausible numbers
+    one = 1.0 + 16 * np.finfo(np.float64).eps
+    want = r"^score range \[1.0, 1.0000000000000036\] is too narrow"
+    with pytest.raises(DataError, match=want):
+        js_divergence([1.0], [one])
+    scores = np.array([[1.0, one, 1.0], [one, 1.0, 1.0]])
+    two = _dataset(2, 3, [[], []])
+    with pytest.raises(DataError, match="too narrow for 50 bins$"):
+        user_divergence(_params_from_scores(scores), two, 20)
+    assert js_divergence([1.0], [1.0 + 64 * np.finfo(np.float64).eps]) > 0
 
 
 def test_evaluate_model_zero_spread_is_a_data_error():
