@@ -9,14 +9,12 @@ N x M.  The calling thread scores the blocks in order; the per-row work on
 a block (ranking, group histograms, user score ranges) is split into up
 to THREADS, and at most MAX_PARTS, parts of its rows that run at once,
 each with scratch for its own rows only, so the scratch of all parts adds
-up to one block, and the histograms that run at once hold at most one
-more.  Every JS divergence, of users or of groups, is counted and summed
-by one accumulator, ``_MeanJS``, whose integer counts add up to the same
-numbers in any order, so the output does not depend on the parts.  Large
-one-range samples (a group's scores) are binned by ``np.histogram``; the
-many short per-user rows are sorted in their parts and counted by binary
-search of each range's bin edges, which bins every value as
-``np.histogram`` does.
+up to one block.  Every JS divergence, of users or of groups, is counted
+and summed by one accumulator, ``_MeanJS``, whose integer counts add up to
+the same numbers in any order, so the output does not depend on the
+parts.  Every sample is sorted in its part and counted by binary search
+of each range's bin edges, which bins every value as ``numpy.histogram``
+does.
 """
 
 import json
@@ -47,10 +45,8 @@ THREADS = (
     if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
 )
-# the most threads that share a block's rows.  An np.histogram call holds
-# about 40 bytes for each of the up to 65536 values it bins at a time, so
-# three at once fit in one 8 MiB block.  And the affinity mask ignores CPU
-# quotas: on 2 CPUs, cutting each block into 8 parts made evaluation
+# the most threads that share a block's rows.  The affinity mask ignores
+# CPU quotas: on 2 CPUs, cutting each block into 8 parts made evaluation
 # slower than one part did.
 MAX_PARTS = 3
 
@@ -374,11 +370,17 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
     Both samples are histogrammed over their joint min..max range with
     equal-width bins and add-eps smoothing; natural log, so the value lies
     in [0, ln 2].  A degenerate joint range returns 0.  ValueError on an
-    empty sample or a value that is not finite; DataError on a joint range
-    too narrow for ``bins`` distinct bin edges.
+    empty sample, a value that is not finite or a ``bins`` that is not a
+    positive integer; DataError on a joint range too narrow for ``bins``
+    distinct bin edges.  The samples are left as they are.
     """
-    a = np.asarray(samples_a, dtype=np.float64).ravel()
-    b = np.asarray(samples_b, dtype=np.float64).ravel()
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(
+            f"js_divergence: bins must be a positive integer, got {bins!r}"
+        )
+    # copies: add sorts its sample in place
+    a = np.array(samples_a, dtype=np.float64).ravel()
+    b = np.array(samples_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("js_divergence: empty sample")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -392,17 +394,17 @@ def js_divergence(samples_a, samples_b, bins=JS_BINS):
 class _MeanJS:
     """Mean JS divergence over ``pairs`` (a, b) of samples, sample a in
     [lo[a], hi[a]], every bound finite.  DataError if a joint range is too
-    narrow for ``bins`` distinct edges, which ``np.histogram`` refuses.
+    narrow for ``bins`` distinct edges, which ``numpy.histogram`` refuses.
 
     ``add`` and ``add_sorted`` count chunks of samples once per joint range
     of their sample's pairs and add the counts up under a lock, so threads
-    may add at once.  ``add`` bins with ``np.histogram``.  ``add_sorted``
-    takes ascending rows and counts each range with one binary search of
-    the ``np.linspace`` bin edges that ``np.histogram`` makes, so it counts
-    what ``add`` would.  The bin rule is per value ([e_i, e_i+1), the last
-    bin closed, NaN counted nowhere) and the counts are integers, so they
-    are the same however a sample is cut into chunks and in whatever order
-    the chunks come.  A pair whose joint range is one point is never
+    may add at once.  ``add_sorted`` takes ascending rows and counts each
+    range with one binary search of the ``np.linspace`` bin edges that
+    ``numpy.histogram`` makes; ``add`` sorts its chunk flat and hands it on.
+    The bin rule is ``numpy.histogram``'s and per value ([e_i, e_i+1), the
+    last bin closed, NaN counted nowhere) and the counts are integers, so
+    they are the same however a sample is cut into chunks and in whatever
+    order the chunks come.  A pair whose joint range is one point is never
     counted: both its sides stay 0, so its divergence is exactly 0.
     """
 
@@ -413,7 +415,7 @@ class _MeanJS:
         live = first != last
         # np.linspace takes another path for the whole batch once one step
         # is 0, as it is for a one-point range; a live range whose step is
-        # 0 is refused below, so each kept row is np.histogram's np.linspace
+        # 0 is refused below, so each kept row is numpy.histogram's np.linspace
         keys = np.zeros((len(first), bins + 1))
         keys[live] = np.linspace(first[live], last[live], bins + 1, axis=1)
         narrow = live & (keys[:, 1:] <= keys[:, :-1]).any(axis=1)
@@ -435,16 +437,11 @@ class _MeanJS:
         self.lock = threading.Lock()
 
     def add(self, a, x):
-        """Count the values ``x`` of sample ``a``."""
-        sides = self.sorted_sides[self.starts[a] : self.starts[a + 1]].tolist()
-        made = {}
-        for j in sides:
-            r = self.ranges[j // 2]
-            if r not in made:
-                made[r] = np.histogram(x, self.counts.shape[1], r)[0]
-        with self.lock:
-            for j in sides:
-                self.counts[j] += made[self.ranges[j // 2]]
+        """Count the values ``x`` of sample ``a``, sorting ``x`` in place."""
+        x = x.reshape(-1)
+        # NaN last, with the interpreter released
+        x.sort()
+        self.add_sorted(a, x[None])
 
     def add_sorted(self, a, x):
         """Count the rows of ``x``, samples a, a + 1, ..., each ascending
@@ -532,8 +529,9 @@ class _GroupJS:
 
     Each block widens every group's range and gives up its test pairs'
     scores.  ``all`` then scores the blocks a second time for each group's
-    histogram counts, a block's rows split into parts; ``positive``
-    works from the gathered test-pair scores.
+    histogram counts, a block's rows split into parts, each part copying a
+    group's columns into its own scratch, where ``add`` sorts them;
+    ``positive`` works from the gathered test-pair scores.
     """
 
     def __init__(self, params, dataset, catalog):

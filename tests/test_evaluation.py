@@ -289,6 +289,27 @@ def test_js_divergence_matches_hand_binning():
     assert np.isclose(got, want, atol=1e-12)
 
 
+def test_js_divergence_leaves_its_samples_untouched():
+    # np.asarray(...).ravel() returns both as views, and the counting sorts
+    # what it is handed in place
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=300)
+    b = rng.normal(loc=0.5, size=(20, 15))
+    a0, b0 = a.copy(), b.copy()
+    js_divergence(a, b)
+    assert np.array_equal(a, a0)
+    assert np.array_equal(b, b0)
+
+
+@pytest.mark.parametrize("bins", [0, -3, 2.5, True])
+def test_js_divergence_refuses_a_bad_bins(bins):
+    # numpy's histogram refused some of these in its own words; the sorted
+    # counting would fail on reshape or allocation, or count one bin
+    want = rf"^js_divergence: bins must be a positive integer, got {bins!r}$"
+    with pytest.raises(ValueError, match=want):
+        js_divergence([0.0, 1.0], [0.5, 2.0], bins=bins)
+
+
 def test_user_divergence_basics():
     rng = np.random.default_rng(1)
     ds = random_dataset(rng, 8, 20)
@@ -517,6 +538,23 @@ def test_sorted_counts_equal_np_histogram():
             assert np.array_equal(js.counts[j], np.histogram(rows[a], JS_BINS, r)[0])
     assert js.counts[4 * 2 + 1].max() == 700  # the repeated value, one bin
     assert js.counts[0].sum() >= JS_BINS + 1  # every edge, the last one too
+    # add counts the same rows unsorted, in uneven chunks, one of them empty
+    # and one 2-D, and sorts each chunk in place
+    chunked = evaluation._MeanJS(lo, hi, pairs)
+    for a, row in enumerate(rows):
+        chunks = np.split(row.copy(), [3, 250, 250, 256])
+        chunks[-1] = chunks[-1].reshape(12, 37)
+        for chunk in chunks[::-1]:
+            chunked.add(a, chunk)
+            flat = chunk.ravel()
+            assert np.array_equal(np.sort(flat), flat, equal_nan=True)
+    for j, a in enumerate(np.ravel(pairs)):
+        r = chunked.ranges[j // 2]
+        if r[0] == r[1]:
+            assert not chunked.counts[j].any(), (j, r)
+        else:
+            want = np.histogram(rows[a], JS_BINS, r)[0]
+            assert np.array_equal(chunked.counts[j], want), (j, r)
 
 
 def test_ranges_too_narrow_for_the_bins_are_refused():
