@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .util import sigmoid
+from .util import Scratch, sigmoid
 
 PROB_CLAMP = 1e-12
 
@@ -72,18 +72,15 @@ def _hidden_buffers(psi, n, work):
 
     The backward pass overwrites each activation with its layer's
     gradient once the activation has served its weight gradient.  work is
-    a dict the caller owns, keyed by n, that keeps the arrays between
-    calls; one dict serves one adversary's layer shapes.  None allocates
-    fresh arrays.
+    a Scratch the caller owns (None: a fresh one); layer i asks it for
+    ("act", i) and ("mask", i), so one set of arrays serves every batch
+    size.
     """
-    bufs = None if work is None else work.get(n)
-    if bufs is None:
-        bufs = []
-        for w in psi.weights[:-1]:
-            shape = (n, w.shape[1])
-            bufs.append((np.empty(shape), np.empty(shape, dtype=bool)))
-        if work is not None:
-            work[n] = bufs
+    work = Scratch() if work is None else work
+    bufs = []
+    for i, w in enumerate(psi.weights[:-1]):
+        shape = (n, w.shape[1])
+        bufs.append((work(("act", i), shape), work(("mask", i), shape, bool)))
     return bufs
 
 
@@ -131,7 +128,7 @@ def loglik_and_grads(psi, scores, labels, param_grads=True, work=None):
         labels: (B, A) 0/1 group memberships.
         param_grads: False skips the parameter gradients (the ranker's
             side needs only d loglik / d score) and returns an empty dict.
-        work: optional dict of reusable per-batch-size buffers (see
+        work: optional Scratch for the hidden layers' arrays (see
             _hidden_buffers); no returned array shares memory with it.
 
     Returns:

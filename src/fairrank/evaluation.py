@@ -179,6 +179,11 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
                 f.result()
 
 
+def _check_k(k):
+    if k < 1:
+        raise ValueError(f"k: must be >= 1, got {k}")
+
+
 def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     """Top-k items per user, excluded items never ranked.
 
@@ -200,8 +205,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
         ties.  Users with fewer than k eligible items get shorter lists
         (counted in a log line).
     """
-    if k < 1:
-        raise ValueError("k: must be >= 1")
+    _check_k(k)
     if exclude not in (EXCLUDE_TRAIN, EXCLUDE_TRAIN_VAL):
         raise ValueError(f"exclude: unknown mode '{exclude}'")
     n = dataset.num_users
@@ -242,6 +246,7 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
 
 def _top(ranking, k):
     k = ranking.k if k is None else k
+    _check_k(k)
     if k > ranking.k:
         raise ValueError(f"k={k} exceeds ranking depth {ranking.k}")
     return k, ranking.items[:, :k]
@@ -718,6 +723,9 @@ def evaluate_model(
 ):
     """Full evaluation of a trained model into a FairnessReport."""
     ks = sorted(int(k) for k in ks)
+    if not ks:
+        raise ValueError("ks: must list at least one k")
+    _check_k(ks[0])
     # the ranking's blocks also feed both group divergences
     js_group = _GroupJS(params, dataset, catalog)
     ranking = rank_topk(

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .util import Scratch
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -84,11 +85,8 @@ class AdamState:
     implementation that decays every row each step but only applies
     parameter deltas to touched rows.
 
-    ``work`` holds three flat scratch arrays shared by every block: an
-    update of g.size entries uses their first g.size.  A step with a larger
-    update than any before grows them, with an eighth to spare, so that a
-    later step touching a few more rows does not grow (and page in) them
-    again.
+    ``scratch`` keeps the three arrays an update works in, shared by every
+    block and every step.
     """
 
     def __init__(self, blocks):
@@ -98,7 +96,7 @@ class AdamState:
         self.last = {
             k: np.zeros(a.shape[0], dtype=np.int64) for k, a in blocks.items()
         }
-        self.work = [np.empty(0) for _ in range(3)]
+        self.scratch = Scratch()
 
 
 def adam_step(state, blocks, grads, lr):
@@ -125,16 +123,13 @@ def adam_step(state, blocks, grads, lr):
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    need = max((np.size(g) for _, g in grads.values()), default=0)
-    if state.work[0].size < need:
-        state.work = [np.empty(need + need // 8) for _ in range(3)]
     for name, (rows, g) in grads.items():
         g = np.asarray(g, dtype=np.float64)
         # min and max propagate NaN, so both are finite only if all of g is
         if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValueError(f"non-finite gradient for block '{name}'")
         block, m, v = blocks[name], state.m[name], state.v[name]
-        work = [w[: g.size].reshape(g.shape) for w in state.work]
+        work = [state.scratch(i, g.shape) for i in range(3)]
         sel = slice(None) if rows is None else rows
         k = t - state.last[name][sel]
         if rows is None:
@@ -216,7 +211,8 @@ def load_checkpoint(path):
         (params, adversary or None, config_hash)
 
     Raises:
-        DataError: if the file is not a complete, well-formed checkpoint.
+        DataError: if the file is not a complete, well-formed checkpoint,
+            or its factors are not two matrices of one width.
     """
     from .adversary import AdversaryParams
 
@@ -268,10 +264,21 @@ def load_checkpoint(path):
     missing = [name for name in needed if name not in arrays]
     if missing:
         raise DataError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    if fatr:
-        items = np.hstack([arrays["item_free"].T, arrays["item_sensitive"].T])
+
+    def check_widths(a, b, what):
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+            raise DataError(
+                f"{path}: {what} have shapes {a.shape} and {b.shape}, "
+                "not two matrices of one width"
+            )
+
+    if fatr:  # transposed blocks, one column per item
+        free, sensitive = arrays["item_free"], arrays["item_sensitive"]
+        check_widths(free, sensitive, "the item blocks")
+        items = np.hstack([free.T, sensitive.T])
     else:
         items = arrays["item_factors"]
+    check_widths(arrays["user_factors"], items, "the user and item factors")
     params = MfParams(arrays["user_factors"], items)
     adversary = None
     if n_layers:

@@ -20,7 +20,6 @@ plain pairwise run bit for bit.
 """
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +36,7 @@ from .objectives import (
     kl_loss_batch as _batch_kl,
     reg_rsp_penalty,
 )
+from .util import Scratch
 
 log = logging.getLogger(__name__)
 
@@ -226,46 +226,6 @@ class _BatchStream:
         return users, items, negs
 
 
-class _ThetaWork:
-    """The arrays of theta steps over at most b positives with r negatives
-    each.
-
-    Made once and reused by every step, so that no step allocates (and
-    pages in) arrays of its own; an epoch's smaller tail batch uses the
-    leading rows of each array.  Score instances are the b positives, then
-    the b * r negatives in row order.  The gradient parts are stacked in the
-    order the scatter sums them: the pair loss's rows, then those of each
-    of at most ``n_terms`` score terms.  Every array is sized to what a
-    step can fill, so that its pages are all used: pages left unused would
-    be paged in later, by whatever reuses the memory.
-    """
-
-    def __init__(self, b, r, dim, n_terms, num_items):
-        n = b * (r + 1)
-        cap = n * n_terms
-        touched = min(n, num_items)  # distinct items in a step
-        self.s_inst = np.empty(n)
-        self.i_inst = np.empty(n, dtype=np.int64)
-        self.pu = np.empty((b, dim))
-        self.vi = np.empty((b, dim))
-        self.bd = np.empty((b, dim))
-        self.vj = np.empty((b, r, dim))
-        self.u_vals = np.empty((b + cap, dim))
-        self.u_idx = np.empty(b + cap, dtype=np.int64)
-        self.i_vals = np.empty((n + cap, dim))
-        self.i_idx = np.empty(n + cap, dtype=np.int64)
-        # flat: a scatter lays its columns and sums out from the start
-        self.cols = np.empty(dim * (n + cap))
-        self.sums = np.empty(dim * max(b, touched))
-        self.u_grad = np.empty(b * dim)
-        self.i_grad = np.empty(touched * dim)
-
-
-def _prefix(flat, shape):
-    """A C-ordered ``shape`` view of the start of the 1-D array ``flat``."""
-    return flat[: math.prod(shape)].reshape(shape)
-
-
 class _RowSlots:
     """np.unique(idx, return_inverse=True) for indices below ``size``,
     from a mark and a slot per possible row, made once."""
@@ -283,21 +243,20 @@ class _RowSlots:
         return rows, self.slot[idx]
 
 
-def _scatter_rows(idx, vals, nrows, ncols, work, out):
+def _scatter_rows(idx, vals, nrows, ncols, scratch, out):
     """Sum the rows of ``vals`` that share an ``idx`` entry, over the first
-    ncols columns: a C-ordered (nrows, ncols) view of the flat buffer
-    ``out``.
+    ncols columns: the (nrows, ncols) scratch array named ``out``.
 
     Each row adds its contributions in the order ``vals`` lists them.  One
-    bincount per column, over that column copied contiguous into
-    ``work.cols``; the column sums go through ``work.sums``.
+    bincount per column, over that column copied contiguous into the
+    scratch "cols"; the column sums go through "sums".
     """
-    cols = _prefix(work.cols, (ncols, len(idx)))
+    cols = scratch("cols", (ncols, len(idx)))
     np.copyto(cols, vals[:, :ncols].T)
-    sums = _prefix(work.sums, (ncols, nrows))
+    sums = scratch("sums", (ncols, nrows))
     for c in range(ncols):
         sums[c] = np.bincount(idx, weights=cols[c], minlength=nrows)
-    out = _prefix(out, (nrows, ncols))
+    out = scratch(out, (nrows, ncols))
     np.copyto(out, sums.T)
     return out
 
@@ -354,7 +313,8 @@ class _Trainer:
                 int(config.kind == "dpr-rsp"),
                 np.random.default_rng(int(seeds[3])),
             )
-        self.adv_work = {}  # discriminator buffers by batch size
+        # the arrays the theta step and the discriminator reuse
+        self.scratch = Scratch()
         self.plan = self._epoch_plan()
         if 0 < config.eval_every <= len(self.plan) and not len(dataset.val_items):
             raise ConfigError(
@@ -362,22 +322,6 @@ class _Trainer:
                 "epochs needs validation pairs, and the split has none "
                 "(data val_ratio = 0); set eval_every = 0 or val_ratio > 0"
             )
-        # room for the most score terms any epoch's steps add
-        self.score_terms = max(
-            (sum(self._score_terms(a, bt)) for _, _, a, bt, _ in self.plan),
-            default=0,
-        )
-        self.theta_work = _ThetaWork(
-            min(config.batch_size, dataset.num_train_pairs),
-            config.negative_rate,
-            config.dim,
-            self.score_terms,
-            dataset.num_items,
-        )
-        # fatr's dense item gradient, item-major like the factors
-        self.item_dense = None
-        if frozen is not None:
-            self.item_dense = np.empty((dataset.num_items, n_free))
         self.user_slots = _RowSlots(dataset.num_users)
         self.item_slots = _RowSlots(dataset.num_items)
         self.G = (
@@ -392,19 +336,12 @@ class _Trainer:
 
     # ---- factor (theta) updates -------------------------------------
 
-    def _score_terms(self, alpha, beta):
-        """Which score terms a theta step with these weights adds to the
-        pair loss: (the adversary's, the KL term, the group-gap penalty)."""
-        return (
-            alpha != 0.0 and self.psi is not None,
-            beta != 0.0,
-            self.cfg.kind in ("reg-rsp", "reg-reo"),
-        )
-
     def _theta_update(self, batch, alpha, beta, l2):
         """One descent step on the composite batch objective.
 
         Returns (pair_loss_mean, kl_value) with kl_value nan when beta == 0.
+        Score instances are the b positives, then the b * r negatives in
+        row order.  Its batch-sized arrays come from the trainer's scratch.
         """
         users, items, negs = batch
         p_mat = self.params.user_factors
@@ -412,55 +349,61 @@ class _Trainer:
         b, r = negs.shape
         n = b * (r + 1)
         dim = p_mat.shape[1]
-        w = self.theta_work
-        bd = w.bd[:b]
-        # scratch for the parts, which are done with it before the scatter
-        # fills cols
-        brd = _prefix(w.cols, (b, r, dim))
+        n_free = self.theta["item_factors"].shape[1]
+        w = self.scratch
         # the step touches the batch's users and its positive and negative
         # items; the gradient parts index those rows by position
-        i_inst = w.i_inst[:n]
+        i_inst = w("i_inst", (n,), np.int64)
         i_inst[:b] = items
         i_inst[b:] = negs.reshape(-1)
         u_rows, u_pos = self.user_slots.compact(users)
         i_rows, i_pos = self.item_slots.compact(i_inst)
-        pu = np.take(p_mat, users, axis=0, out=w.pu[:b], mode="clip")
-        vi = np.take(imat, items, axis=0, out=w.vi[:b], mode="clip")
-        vj = np.take(imat, negs, axis=0, out=w.vj[:b], mode="clip")
-        s_inst = w.s_inst[:n]
+        pu = np.take(p_mat, users, axis=0, out=w("pu", (b, dim)), mode="clip")
+        vi = np.take(imat, items, axis=0, out=w("vi", (b, dim)), mode="clip")
+        vj = np.take(imat, negs, axis=0, out=w("vj", (b, r, dim)), mode="clip")
+        bd = w("bd", (b, dim))
+        s_inst = w("s_inst", (n,))
         s_pos = np.multiply(pu, vi, out=bd).sum(axis=1, out=s_inst[:b])
         s_neg = np.einsum("bd,brd->br", pu, vj, out=s_inst[b:].reshape(b, r))
         losses, g_pos = bpr_pair_loss_batch(s_pos[:, None], s_neg)
         pair_loss = float(losses.mean())
-        total = pair_loss
+        terms = []  # (weighted value, dL/ds over a prefix of the instances)
+        if alpha != 0.0 and self.psi is not None:
+            terms.append(self._theta_adv_term(s_inst, i_inst, b, r, alpha))
+        u_pos_neg = np.repeat(u_pos, r)  # each negative's user slot
+        kl_value = float("nan")
+        if beta != 0.0:
+            kl_value, g_kl = _batch_kl(
+                s_inst, np.concatenate([u_pos, u_pos_neg])
+            )
+            terms.append((beta * kl_value, beta * g_kl))
+        if self.cfg.kind in ("reg-rsp", "reg-reo"):
+            terms.append(self._gap_term(s_inst, i_inst, b))
+        # the gradient parts, stacked in the order the scatter sums them:
+        # the pair loss's rows, then those of each score term
+        n_term_rows = sum(len(g) for _, g in terms)
+        u_vals = w("u_vals", (b + n_term_rows, dim))
+        i_vals = w("i_vals", (n + n_term_rows, dim))
+        # scratch for the pair loss's parts, which are done with it before
+        # the scatter fills it; sized for the scatter first
+        w("cols", (dim, len(i_vals)))
+        brd = w("cols", (b, r, dim))
         scale = 1.0 / (b * r)
         # the pair loss's parts: b user rows, b positive and b * r negative
         # item rows, each (product + l2 term) * scale
         diff = np.subtract(vi[:, None, :], vj, out=brd)
         diff *= g_pos[:, :, None]
         du = diff.sum(axis=1, out=bd)
-        u_part = np.multiply(pu, l2 * r, out=w.u_vals[:b])
+        u_part = np.multiply(pu, l2 * r, out=u_vals[:b])
         u_part += du
         u_part *= scale
-        di = np.multiply(g_pos.sum(axis=1)[:, None], pu, out=w.i_vals[:b])
+        di = np.multiply(g_pos.sum(axis=1)[:, None], pu, out=i_vals[:b])
         di += np.multiply(vi, l2 * r, out=bd)
-        dj = w.i_vals[b:n].reshape(b, r, dim)
+        dj = i_vals[b:n].reshape(b, r, dim)
         np.multiply((-g_pos)[:, :, None], pu[:, None, :], out=dj)
         dj += np.multiply(vj, l2, out=brd)
-        w.i_vals[:n] *= scale
-        terms = []  # (weighted value, dL/ds over a prefix of the instances)
-        adv_on, kl_on, gap_on = self._score_terms(alpha, beta)
-        if adv_on:
-            terms.append(self._theta_adv_term(s_inst, i_inst, b, r, alpha))
-        u_pos_neg = np.repeat(u_pos, r)  # each negative's user slot
-        kl_value = float("nan")
-        if kl_on:
-            kl_value, g_kl = _batch_kl(
-                s_inst, np.concatenate([u_pos, u_pos_neg])
-            )
-            terms.append((beta * kl_value, beta * g_kl))
-        if gap_on:
-            terms.append(self._gap_term(s_inst, i_inst, b))
+        i_vals[:n] *= scale
+        total = pair_loss
         u_idx = [u_pos]
         i_idx = [i_pos]
         nu, ni = b, n
@@ -469,8 +412,8 @@ class _Trainer:
             # for its user, its user row times dL/ds for its item; g covers
             # the b positives, or every instance
             k = len(g)
-            ut = w.u_vals[nu : nu + k]
-            it = w.i_vals[ni : ni + k]
+            ut = u_vals[nu : nu + k]
+            it = i_vals[ni : ni + k]
             np.multiply(vi, g[:b, None], out=ut[:b])
             np.multiply(pu, g[:b, None], out=it[:b])
             if k > b:
@@ -486,7 +429,6 @@ class _Trainer:
             nu += k
             ni += k
             total += value
-        n_free = self.theta["item_factors"].shape[1]
         item_dense = None
         if self.cfg.kind == "fatr":
             lam = self.cfg.weights.lambda_model
@@ -494,31 +436,34 @@ class _Trainer:
                 imat[:, :n_free].T, imat[:, n_free:].T
             )
             total += lam * reg_loss
-            # the cross-Gram gradient reaches every item
-            item_dense = np.multiply(reg_grad.T, lam, out=self.item_dense)
+            # the cross-Gram gradient reaches every item; item-major like
+            # the factors
+            item_dense = np.multiply(
+                reg_grad.T, lam, out=w("item_dense", (len(imat), n_free))
+            )
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"batch loss is not finite ({total}); try a smaller "
                 "learning rate"
             )
         g_items = _scatter_rows(
-            np.concatenate(i_idx, out=w.i_idx[:ni]),
-            w.i_vals[:ni],
+            np.concatenate(i_idx, out=w("i_idx", (ni,), np.int64)),
+            i_vals,
             len(i_rows),
             n_free,
             w,
-            w.i_grad,
+            "i_grad",
         )
         if item_dense is not None:
             item_dense[i_rows] += g_items
             i_rows, g_items = None, item_dense
         g_users = _scatter_rows(
-            np.concatenate(u_idx, out=w.u_idx[:nu]),
-            w.u_vals[:nu],
+            np.concatenate(u_idx, out=w("u_idx", (nu,), np.int64)),
+            u_vals,
             len(u_rows),
             dim,
             w,
-            w.u_grad,
+            "u_grad",
         )
         grads = {
             "user_factors": (u_rows, g_users),
@@ -533,14 +478,14 @@ class _Trainer:
         scale = 1.0 / (b * r)
         ll_i, _, dy_i = adv.loglik_and_grads(
             self.psi, s_inst[:b], self.G[i_inst[:b]],
-            param_grads=False, work=self.adv_work,
+            param_grads=False, work=self.scratch,
         )
         value = r * float(ll_i.sum()) * scale
         grads = [(alpha * r * scale) * dy_i]
         if self.cfg.kind == "dpr-rsp":
             ll_j, _, dy_j = adv.loglik_and_grads(
                 self.psi, s_inst[b:], self.G[i_inst[b:]],
-                param_grads=False, work=self.adv_work,
+                param_grads=False, work=self.scratch,
             )
             value += float(ll_j.sum()) * scale
             grads.append((alpha * scale) * dy_j)
@@ -582,7 +527,7 @@ class _Trainer:
 
     def _psi_update(self, scores, labels):
         ll, grads, _ = adv.loglik_and_grads(
-            self.psi, scores, labels, work=self.adv_work
+            self.psi, scores, labels, work=self.scratch
         )
         for name, g in grads.items():
             if not np.isfinite(g).all():

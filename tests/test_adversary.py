@@ -3,11 +3,13 @@ import pytest
 
 from fairrank.adversary import (
     AdversaryParams,
+    _hidden_buffers,
     forward_scores,
     init_adversary,
     loglik_and_grads,
 )
 from fairrank.errors import ConfigError
+from fairrank.util import Scratch
 
 from oracles import ref_loglik_and_grads
 
@@ -226,7 +228,7 @@ def _copies(result):
 @pytest.mark.parametrize("groups", [1, 2, 3])
 @pytest.mark.parametrize("param_grads", [True, False])
 def test_loglik_matches_reference_bits(layers, groups, param_grads):
-    work = {}  # one workspace across every size, as a trainer keeps it
+    work = Scratch()  # one workspace across every size, as a trainer keeps it
     for n in (1, 2, 1024, 5120, 2):
         psi, scores, labels = _oracle_case(layers, groups, n, seed=n)
         want = ref_loglik_and_grads(psi, scores, labels)
@@ -241,4 +243,14 @@ def test_loglik_matches_reference_bits(layers, groups, param_grads):
         other = _oracle_case(layers, groups, n, seed=n + 1)
         loglik_and_grads(*other, param_grads=param_grads, work=work)
         _assert_matches_reference(first, kept, param_grads)
-    assert sorted(work) == [1, 2, 1024, 5120]
+        if n == 5120:
+            largest = dict(work.arrays)
+    # one act and one mask array per hidden layer, which the 2-row call
+    # after the 5120-row call reuses
+    assert sorted(work.arrays) == sorted(
+        (name, i) for name in ("act", "mask") for i in range(layers)
+    )
+    assert all(work.arrays[k] is a for k, a in largest.items())
+    for i, (act, mask) in enumerate(_hidden_buffers(psi, 2, work)):
+        assert np.shares_memory(act, largest[("act", i)])
+        assert np.shares_memory(mask, largest[("mask", i)])

@@ -9,7 +9,7 @@ import pytest
 
 from fairrank.cli import main
 from fairrank.data import InteractionDataset, load_groups, load_interactions
-from fairrank.mf import load_checkpoint, save_checkpoint
+from fairrank.mf import MfParams, load_checkpoint, save_checkpoint
 
 from conftest import BAD_CHECKPOINT_SHAPES, DATA_DIR, with_first_shape
 from oracles import brute_rank, brute_rsp
@@ -342,6 +342,38 @@ def test_eval_checkpoint_bad_shapes_are_domain_errors(
         assert main(["eval", "--config", ini, "--checkpoint", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err
+
+
+def test_checkpoint_factors_of_other_widths_are_domain_errors(
+    corpus_dir, tmp_path, capsys
+):
+    # scoring them would die in numpy's matmul with a traceback
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
+    assert main(["train", "--config", ini]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    path = os.path.join(run_dir, "checkpoint")
+    params, _, config_hash = load_checkpoint(path)
+    narrow = str(tmp_path / "narrow.ckpt")
+    save_checkpoint(
+        narrow,
+        MfParams(params.user_factors[:, 1:], params.item_factors),
+        config_hash,
+    )
+    flat = tmp_path / "flat.ckpt"
+    flat.write_bytes(
+        with_first_shape(open(path, "rb").read(), [params.user_factors.size])
+    )
+    audit = ["audit",
+             "--interactions", str(corpus_dir / "interactions.csv"),
+             "--groups", str(corpus_dir / "groups.csv"),
+             "--checkpoint"]
+    for bad in (narrow, str(flat)):
+        for args in (["eval", "--config", ini, "--checkpoint", bad],
+                     audit + [bad]):
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "not two matrices of one width" in err
 
 
 @pytest.mark.parametrize(

@@ -114,6 +114,38 @@ def test_rank_topk_validation():
         rank_topk(params, wrong, 2)
 
 
+@pytest.mark.parametrize(
+    "metric, k",
+    [
+        ("f1", 0),
+        ("f1", -1),
+        ("f1", -3),
+        ("ndcg", 0),
+        ("rsp", -1),
+        ("reo", 0),
+        ("evaluate", (0, 5)),
+        ("evaluate", ()),
+    ],
+)
+def test_metrics_refuse_k_below_one(metric, k):
+    # a k below 1 would slice the ranking from its end, or to nothing
+    rng = np.random.default_rng(0)
+    ds = random_dataset(rng, 40, 12)
+    cat = random_catalog(rng, 12, 2)
+    params = init_params(40, 12, 4, seed=1)
+    ranking = rank_topk(params, ds, 5)
+    calls = {
+        "f1": lambda: f1_at_k(ranking, ds, k=k),
+        "ndcg": lambda: ndcg_at_k(ranking, ds, k=k),
+        "rsp": lambda: prob_rsp(ranking, ds, cat, k=k),
+        "reo": lambda: prob_reo(ranking, ds, cat, k=k),
+        "evaluate": lambda: evaluate_model(params, ds, cat, ks=k),
+    }
+    want = "^ks: must list" if k == () else "^k: must be >= 1, got"
+    with pytest.raises(ValueError, match=want):
+        calls[metric]()
+
+
 def test_prob_rsp_hand_example():
     # 2 users, 4 items, groups {0,1}/{2,3}; both users rank 2 items
     scores = np.array([[9.0, 1.0, 8.0, 0.0], [0.0, 9.0, 1.0, 8.0]])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -264,29 +265,6 @@ def test_adam_non_finite_sparse_update_touches_nothing():
     assert (state.last["w"] == 0).all()
 
 
-def test_adam_scratch_grows_with_the_largest_update_of_a_step():
-    # sized once per step for its largest update, with an eighth to spare,
-    # so a step touching a few more rows reuses it
-    blocks = {"u": np.zeros((10, 2)), "w": np.zeros((100, 2))}
-    state = AdamState(blocks)
-    assert [a.size for a in state.work] == [0, 0, 0]
-    adam_step(
-        state,
-        blocks,
-        {
-            "u": (None, np.ones((10, 2))),
-            "w": (np.arange(40), np.ones((40, 2))),
-        },
-        lr=0.1,
-    )
-    work = state.work
-    assert [a.size for a in work] == [90, 90, 90]
-    adam_step(state, blocks, {"w": (np.arange(45), np.ones((45, 2)))}, 0.1)
-    assert state.work is work
-    adam_step(state, blocks, {"w": (np.arange(50), np.ones((50, 2)))}, 0.1)
-    assert [a.size for a in state.work] == [112, 112, 112]
-
-
 def test_checkpoint_round_trip(tmp_path):
     p = init_params(7, 5, 3, seed=2)
     path = tmp_path / "ck"
@@ -380,6 +358,47 @@ def test_checkpoint_bad_shapes_are_refused(name, tmp_path):
     save_checkpoint(str(path), init_params(3, 3, 2, seed=0))
     path.write_bytes(with_first_shape(path.read_bytes(), shape))
     with pytest.raises(DataError, match=fragment):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (
+            lambda p: MfParams(p.user_factors[:, :3], p.item_factors),
+            "user and item factors have shapes (7, 3) and (5, 4)",
+        ),
+        (
+            lambda p: MfParams(p.user_factors, p.item_factors[:, 0]),
+            "user and item factors have shapes (7, 4) and (5,)",
+        ),
+    ],
+)
+def test_checkpoint_factors_of_other_widths_are_refused(make, fragment, tmp_path):
+    path = tmp_path / "ck"
+    save_checkpoint(str(path), make(init_params(7, 5, 4, seed=0)))
+    with pytest.raises(DataError, match=re.escape(fragment)):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_user_factors_of_one_dimension_are_refused(tmp_path):
+    path = tmp_path / "ck"
+    save_checkpoint(str(path), init_params(7, 5, 4, seed=0))
+    path.write_bytes(with_first_shape(path.read_bytes(), [28]))
+    with pytest.raises(DataError, match=re.escape("shapes (28,) and (5, 4)")):
+        load_checkpoint(str(path))
+
+
+def test_v1_fatr_item_blocks_of_other_widths_are_refused(tmp_path):
+    # both blocks hold one column per item
+    data = open(os.path.join(DATA_DIR, "fatr_v1.ckpt"), "rb").read()
+    old = b'"item_sensitive", "shape": [2, 3]'
+    assert old in data
+    path = tmp_path / "ck"
+    path.write_bytes(data.replace(old, b'"item_sensitive", "shape": [3, 2]'))
+    with pytest.raises(
+        DataError, match=re.escape("item blocks have shapes (3, 3) and (3, 2)")
+    ):
         load_checkpoint(str(path))
 
 
