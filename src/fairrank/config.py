@@ -49,6 +49,8 @@ def _ks(raw):
     ks = _list(_int)(raw)
     if not ks or min(ks) < 1:
         raise ValueError("need positive integers")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"must list each k once, got '{raw}'")
     return ks
 
 

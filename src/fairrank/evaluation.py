@@ -8,11 +8,11 @@ NaN, in one buffer: memory is O(BLOCK_BYTES + M) whatever N is, never
 N x M.  The calling thread scores the blocks in order; the per-row work on
 a block (ranking, group histograms, user score ranges) is split into up
 to THREADS, and at most MAX_PARTS, parts of its rows that run at once,
-each with scratch for its own rows only, so the scratch of all parts adds
-up to one block.  Every JS divergence, of users or of groups, is counted
-and summed by one accumulator, ``_MeanJS``, whose integer counts add up to
-the same numbers in any order, so the output does not depend on the
-parts.  Every sample is sorted in its part and counted by binary search
+each working in its own rows of a second block-sized buffer that the sweep
+owns.  Every JS divergence, of users or of groups, is counted and summed
+by one accumulator, ``_MeanJS``, whose integer counts add up to the same
+numbers in any order, so the output does not depend on the parts.  Every
+sample is sorted in its part and counted by binary search
 of each range's bin edges, which bins every value as ``numpy.histogram``
 does.
 """
@@ -93,12 +93,10 @@ def _blocks(n, m):
     return zip(edges[:-1], edges[1:])
 
 
-def _block_pairs(dataset, split, users, positions=True):
-    """(rows, items) of the ascending ``users``' pairs in ``split`` ("pos",
-    "val" or "test"), rows counted in ``users``; with ``positions``,
-    ((rows, items), at), ``at`` the pairs' positions in the split.  Only a
-    gather from the split needs ``at``: masking goes without it and holds
-    at most two pair-length arrays at once."""
+def _block_pairs(dataset, split, users):
+    """((rows, items), at) of the ascending ``users``' pairs in ``split``
+    ("pos", "val" or "test"): rows counted in ``users``, ``at`` the pairs'
+    positions in the split."""
     indptr = getattr(dataset, f"{split}_indptr")
     start = indptr[users]
     sizes = indptr[users + 1] - start
@@ -106,10 +104,8 @@ def _block_pairs(dataset, split, users, positions=True):
     at = np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
     at += np.arange(len(at))
     items = getattr(dataset, f"{split}_items")[at]
-    if not positions:
-        del at  # before rows is made
     rows = np.repeat(np.arange(len(users)), sizes)
-    return ((rows, items), at) if positions else (rows, items)
+    return (rows, items), at
 
 
 def _block_buffer(n, m):
@@ -123,13 +119,13 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
 
     On the calling thread and in block order, each block users[a:b] is
     scored and handed to ``on_block(a, b, scores)``.  Then its rows are
-    split into up to min(THREADS, MAX_PARTS) parts, and ``part(lo, hi, i,
-    scores)`` runs once per part, for users[lo:hi], which are rows i.. of
-    the block, and their ``scores``.  The first part runs on the calling
-    thread, the others on threads that live for the sweep.  All parts end
-    before the next block is scored; an error a part raises is raised as
-    it is, the first part's in row order when several fail.  A part may
-    write only its own rows, of ``scores`` and of any scratch.
+    split into up to min(THREADS, MAX_PARTS) parts, and ``part(lo, hi,
+    scores, work)`` runs once per part, for users[lo:hi]: their ``scores``
+    and ``work``, the same rows of a second buffer, both C-contiguous.  The
+    first part runs on the calling thread, the others on threads that live
+    for the sweep.  All parts end before the next block is scored; an error
+    a part raises is raised as it is, the first part's in row order when
+    several fail.
 
     Every score block is made here, so this is the one gate on the model:
     DataError if ``params`` are not the dataset's shape, a factor is not
@@ -156,13 +152,13 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
             f"max|item factor| = {bound:.3g} exceeds {SCORE_BOUND:.3g}"
         )
     n = n if users is None else len(users)
-    buf = _block_buffer(n, m)
+    buf, work = _block_buffer(n, m), _block_buffer(n, m)
     parts = min(THREADS, MAX_PARTS)
     with ThreadPoolExecutor(max(parts - 1, 1), "fairrank-eval") as pool:
         for a, b in _blocks(n, m):
             ids = np.arange(a, b) if users is None else users[a:b]
             scores = _score_matrix(params, ids, out=buf)
-            scores[_block_pairs(dataset, "pos", ids, positions=False)] = np.nan
+            scores[_block_pairs(dataset, "pos", ids)[0]] = np.nan
             if on_block is not None:
                 on_block(a, b, scores)
             if part is None:
@@ -170,7 +166,8 @@ def _sweep(params, dataset, users=None, *, on_block=None, part=None):
             t = min(parts, b - a)
             edges = [(b - a) * p // t for p in range(t + 1)]
             runs = [
-                (a + i, a + j, i, scores[i:j]) for i, j in zip(edges, edges[1:])
+                (a + i, a + j, scores[i:j], work[i:j])
+                for i, j in zip(edges, edges[1:])
             ]
             futures = [pool.submit(part, *run) for run in runs[1:]]
             # on an error the pool's exit waits for the other parts
@@ -212,14 +209,12 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     depth = min(k, dataset.num_items) - 1
     items = np.full((n, depth + 1), -1, dtype=np.int64)
     lengths = np.empty(n, dtype=np.int64)
-    work = _block_buffer(n, dataset.num_items)
 
-    def rank_rows(lo, hi, i, scores):
+    def rank_rows(lo, hi, scores, work):
         if exclude == EXCLUDE_TRAIN_VAL:
-            val = _block_pairs(dataset, "val", np.arange(lo, hi), positions=False)
-            scores[val] = np.nan
+            scores[_block_pairs(dataset, "val", np.arange(lo, hi))[0]] = np.nan
         # the key is -score; partition sorts NaN last, like a full sort
-        part = np.negative(scores, out=work[i : i + hi - lo])
+        part = np.negative(scores, out=work)
         part.partition(depth, axis=1)
         # rows whose depth + 1 smallest keys are finite have a full list;
         # only the others need their finite scores counted
@@ -244,7 +239,17 @@ def rank_topk(params, dataset, k, exclude=EXCLUDE_TRAIN, *, on_block=None):
     return RankingResult(items, lengths, k, exclude)
 
 
-def _top(ranking, k):
+def _top(ranking, dataset, k):
+    """The first ``k`` columns of the ranking (all by default).  DataError
+    if the ranking is not of ``dataset``: another user count, or an item id
+    past its catalogue, would read other users' pairs or fail in numpy."""
+    n, m = dataset.num_users, dataset.num_items
+    last = int(ranking.items.max(initial=-1))
+    if len(ranking.items) != n or last >= m:
+        raise DataError(
+            f"a ranking of {len(ranking.items)} users and item ids up to {last} "
+            f"is not of the dataset's {n} users and {m} items"
+        )
     k = ranking.k if k is None else k
     _check_k(k)
     if k > ranking.k:
@@ -290,11 +295,12 @@ def prob_rsp(ranking, dataset, catalog, k=None):
         (A,) array of probabilities.
 
     Raises:
-        DataError: if the catalog's item count is not the dataset's, or
-            some group has no eligible items in the denominator.
+        DataError: if the catalog's item count is not the dataset's, the
+            ranking is not of the dataset, or some group has no eligible
+            items in the denominator.
     """
     _check_catalog(dataset, catalog)
-    k, top = _top(ranking, k)
+    k, top = _top(ranking, dataset, k)
     denom = dataset.num_users * catalog.item_counts.astype(np.float64)
     denom -= _group_sums(dataset.pos_items, catalog)
     return _group_probs(top[top >= 0], denom, catalog, "eligible items")
@@ -308,11 +314,12 @@ def prob_reo(ranking, dataset, catalog, k=None):
         (A,) array of probabilities.
 
     Raises:
-        DataError: if the catalog's item count is not the dataset's, or
-            some group has no test positives.
+        DataError: if the catalog's item count is not the dataset's, the
+            ranking is not of the dataset, or some group has no test
+            positives.
     """
     _check_catalog(dataset, catalog)
-    k, top = _top(ranking, k)
+    k, top = _top(ranking, dataset, k)
     denom = _group_sums(dataset.test_items, catalog)
     return _group_probs(top[_hits(dataset, top)], denom, catalog, "test positives")
 
@@ -336,7 +343,7 @@ def f1_at_k(ranking, dataset, k=None, split="test"):
     """
     if split not in ("test", "val"):
         raise ValueError(f"split: must be 'test' or 'val', got '{split}'")
-    k, top = _top(ranking, k)
+    k, top = _top(ranking, dataset, k)
     sizes = np.diff(dataset.test_indptr if split == "test" else dataset.val_indptr)
     has = sizes > 0
     if not has.any():
@@ -350,7 +357,7 @@ def f1_at_k(ranking, dataset, k=None, split="test"):
 
 def ndcg_at_k(ranking, dataset, k=None):
     """Mean per-user NDCG@k with binary relevance and log2 discount."""
-    k, top = _top(ranking, k)
+    k, top = _top(ranking, dataset, k)
     sizes = np.diff(dataset.test_indptr)
     has = sizes > 0
     if not has.any():
@@ -464,13 +471,12 @@ class _MeanJS:
             self.counts[j] += counts
 
     def value(self):
-        total = 0.0
-        for pq in self.counts.reshape(-1, 2, self.counts.shape[1]):
-            pq = pq + JS_EPS
-            pq /= pq.sum(axis=1, keepdims=True)
-            kl = (pq * np.log(pq / (0.5 * (pq[0] + pq[1])))).sum(axis=1)
-            total += float(0.5 * kl[0] + 0.5 * kl[1])
-        return total / len(self.ranges)
+        pq = self.counts.reshape(-1, 2, self.counts.shape[1]) + JS_EPS
+        pq /= pq.sum(axis=2, keepdims=True)
+        kl = (pq * np.log(pq / (0.5 * (pq[:, :1] + pq[:, 1:])))).sum(axis=2)
+        # summed left to right, pair by pair: np.sum would sum pairwise
+        total = np.cumsum(0.5 * kl[:, 0] + 0.5 * kl[:, 1])[-1]
+        return float(total) / len(self.ranges)
 
 
 def user_divergence(params, dataset, sample_pairs=1000, seed=0):
@@ -503,7 +509,7 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
         )
     lo, hi = np.empty((2, len(users)))
 
-    def ranges(a, b, i, scores):
+    def ranges(a, b, scores, work):
         np.fmin.reduce(scores, axis=1, out=lo[a:b])
         np.fmax.reduce(scores, axis=1, out=hi[a:b])
 
@@ -512,7 +518,7 @@ def user_divergence(params, dataset, sample_pairs=1000, seed=0):
     sides = np.searchsorted(users, np.stack((us, vs), axis=1))
     js = _MeanJS(lo.tolist(), hi.tolist(), sides)
 
-    def histograms(a, b, i, scores):
+    def histograms(a, b, scores, work):
         # sorts NaN, the training pairs, last, with the interpreter released
         scores.sort(axis=1)
         js.add_sorted(a, scores)
@@ -535,8 +541,8 @@ class _GroupJS:
     Each block widens every group's range and gives up its test pairs'
     scores.  ``all`` then scores the blocks a second time for each group's
     histogram counts, a block's rows split into parts, each part copying a
-    group's columns into its own scratch, where ``add`` sorts them;
-    ``positive`` works from the gathered test-pair scores.
+    group's columns into its rows of the work buffer, where ``add`` sorts
+    them; ``positive`` works from the gathered test-pair scores.
     """
 
     def __init__(self, params, dataset, catalog):
@@ -558,14 +564,10 @@ class _GroupJS:
 
     def all(self):
         js = self._mean_js(self.lo, self.hi, "all")
-        n, m = self.dataset.num_users, self.dataset.num_items
-        # row i of a block owns work[i * w : (i + 1) * w]
-        w = max(map(len, self.cols))
-        work = np.empty(len(_block_buffer(n, m)) * w)
 
-        def histograms(lo, hi, i, x):
+        def histograms(lo, hi, x, work):
             for a, c in enumerate(self.cols):
-                part = work[i * w : i * w + len(x) * len(c)].reshape(len(x), len(c))
+                part = work.reshape(-1)[: len(x) * len(c)].reshape(len(x), len(c))
                 # with out=, mode="raise" would copy through a bounce buffer
                 np.take(x, c, axis=1, out=part, mode="clip")
                 js.add(a, part)
@@ -722,7 +724,7 @@ def evaluate_model(
     js_user_pairs=1000,
 ):
     """Full evaluation of a trained model into a FairnessReport."""
-    ks = sorted(int(k) for k in ks)
+    ks = sorted({int(k) for k in ks})
     if not ks:
         raise ValueError("ks: must list at least one k")
     _check_k(ks[0])

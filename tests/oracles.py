@@ -224,6 +224,18 @@ def ref_js_divergence(samples_a, samples_b, bins=50):
     )
 
 
+def ref_mean_js_value(counts, eps=1e-10):
+    """_MeanJS.value as a loop over the pairs: row 2j of ``counts`` is
+    pair j's first side, row 2j + 1 its second."""
+    total = 0.0
+    for pq in counts.reshape(-1, 2, counts.shape[1]):
+        pq = pq + eps
+        pq /= pq.sum(axis=1, keepdims=True)
+        kl = (pq * np.log(pq / (0.5 * (pq[0] + pq[1])))).sum(axis=1)
+        total += float(0.5 * kl[0] + 0.5 * kl[1])
+    return total / (len(counts) // 2)
+
+
 def _ref_eligible_scores(scores_row, train_items):
     mask = np.ones(scores_row.shape[0], dtype=bool)
     mask[train_items] = False

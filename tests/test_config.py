@@ -288,6 +288,15 @@ def test_config_errors(tmp_path, text, message):
     assert str(exc.value) == message
 
 
+def test_a_repeated_k_is_refused(tmp_path):
+    # "5,5,10" printed the k = 5 line twice and hashed unlike "5,10"
+    with pytest.raises(ConfigError) as exc:
+        _load(tmp_path, "[eval]\nks = 5,5,10\n")
+    assert str(exc.value) == "config [eval] ks: must list each k once, got '5,5,10'"
+    # an unsorted list stays as written: its run hash is unchanged
+    assert _load(tmp_path, "[eval]\nks = 10,5\n").eval_ks == (10, 5)
+
+
 def test_file_errors(tmp_path):
     missing = str(tmp_path / "absent.ini")
     with pytest.raises(ConfigError) as exc:

@@ -146,6 +146,39 @@ def test_metrics_refuse_k_below_one(metric, k):
         calls[metric]()
 
 
+def test_evaluate_model_counts_a_repeated_k_once():
+    # ks (5, 5, 10) gave report.tsv a second copy of every k = 5 row
+    rng = np.random.default_rng(0)
+    ds = random_dataset(rng, 40, 12)
+    cat = random_catalog(rng, 12, 2)
+    params = init_params(40, 12, 4, seed=1)
+    twice = evaluate_model(params, ds, cat, ks=(5, 5, 10), js_user_pairs=50)
+    assert twice.ks == [5, 10] and len(twice.to_tsv("m").splitlines()) == 11
+    once = evaluate_model(params, ds, cat, ks=(10, 5), js_user_pairs=50)
+    assert twice.to_json() == once.to_json()
+
+
+@pytest.mark.parametrize("other", [(40, 30), (60, 45)], ids=["users", "items"])
+@pytest.mark.parametrize("metric", ["f1", "ndcg", "rsp", "reo"])
+def test_metrics_refuse_a_ranking_of_another_dataset(metric, other):
+    # another dataset's ranking gave plausible numbers or a bare numpy error:
+    # an item id past M was read as one of the next user's pairs
+    rng = np.random.default_rng(3)
+    ds = random_dataset(rng, 60, 30)
+    cat = random_catalog(rng, 30, 2)
+    ranking = rank_topk(init_params(*other, 4, seed=1), random_dataset(rng, *other), 10)
+    assert len(ranking.items) != 60 or ranking.items.max() >= 30
+    calls = {
+        "f1": lambda: f1_at_k(ranking, ds),
+        "ndcg": lambda: ndcg_at_k(ranking, ds),
+        "rsp": lambda: prob_rsp(ranking, ds, cat),
+        "reo": lambda: prob_reo(ranking, ds, cat),
+    }
+    want = "is not of the dataset's 60 users and 30 items$"
+    with pytest.raises(DataError, match=want):
+        calls[metric]()
+
+
 def test_prob_rsp_hand_example():
     # 2 users, 4 items, groups {0,1}/{2,3}; both users rank 2 items
     scores = np.array([[9.0, 1.0, 8.0, 0.0], [0.0, 9.0, 1.0, 8.0]])
@@ -589,6 +622,21 @@ def test_sorted_counts_equal_np_histogram():
             assert np.array_equal(chunked.counts[j], want), (j, r)
 
 
+@pytest.mark.parametrize(
+    "num_pairs, most", [(1, 0), (1, 10**6), (6, 3), (1200, 0), (1200, 10**6)]
+)
+def test_mean_js_value_equals_the_pair_loop(num_pairs, most):
+    # one pass over every pair, summed left to right as the loop sums, so
+    # every report digit stays
+    rng = np.random.default_rng(num_pairs + most)
+    samples = max(2, num_pairs // 10)
+    pairs = [rng.choice(samples, size=2, replace=False) for _ in range(num_pairs)]
+    js = evaluation._MeanJS([0.0] * samples, [1.0] * samples, pairs)
+    for spread in (most, rng.integers(0, most + 1, size=2 * num_pairs)[:, None]):
+        js.counts[:] = rng.integers(0, spread + 1, size=js.counts.shape)
+        assert js.value().hex() == oracles.ref_mean_js_value(js.counts).hex()
+
+
 def test_ranges_too_narrow_for_the_bins_are_refused():
     # 51 edges over fewer floats repeat some; np.histogram refused them with
     # a bare ValueError, and counting by them would give plausible numbers
@@ -716,6 +764,7 @@ def test_block_pairs_match_a_per_user_reference(seed):
     n = 30
     ds = _sparse_dataset(rng, n, 9)
     selections = [np.arange(0), np.arange(n), np.array([0]), np.array([n - 1])]
+    selections += [np.arange(a, b) for a, b in ((0, 7), (5, 6), (11, 30))]
     for size in (1, 2, 7, 15, 29):
         picked = np.sort(rng.choice(n, size=size, replace=False))
         selections += [picked, np.union1d(picked, [0, n - 1])]
@@ -1029,26 +1078,6 @@ def test_threads_follow_the_cpu_affinity():
     assert evaluation.THREADS >= 1
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_pairs_without_positions_match_with_positions(seed):
-    # masking takes (rows, items) alone, for consecutive users or any
-    # other selection
-    rng = np.random.default_rng(seed)
-    n = 30
-    ds = _sparse_dataset(rng, n, 9)
-    selections = [np.arange(n), np.array([0]), np.array([n - 1])]
-    selections += [np.arange(a, b) for a, b in ((0, 7), (5, 6), (11, 30))]
-    for size in (2, 7, 15, 29):
-        picked = np.sort(rng.choice(n, size=size, replace=False))
-        selections += [picked, np.union1d(picked, [0, n - 1])]
-    for split in ("pos", "val", "test"):
-        for users in selections:
-            rows, items = evaluation._block_pairs(ds, split, users, positions=False)
-            (want_rows, want_items), _ = evaluation._block_pairs(ds, split, users)
-            assert rows.tolist() == want_rows.tolist(), (split, users)
-            assert items.tolist() == want_items.tolist(), (split, users)
-
-
 _THREADS = [1, 2, 3, 8]
 
 
@@ -1222,17 +1251,62 @@ def test_sweep_cuts_a_block_into_at_most_max_parts(threads, monkeypatch):
     t = min(threads, evaluation.MAX_PARTS)
     runs, idents = [], set()
 
-    def part(lo, hi, i, scores):
-        runs.append((lo, hi, i, len(scores)))
+    def part(lo, hi, scores, work):
+        runs.append((lo, hi, len(scores)))
         idents.add(threading.get_ident())
 
     evaluation._sweep(params, ds, part=part)
     want = []
     for a, b in evaluation._blocks(ds.num_users, ds.num_items):
         edges = [(b - a) * p // min(t, b - a) for p in range(min(t, b - a) + 1)]
-        want += [(a + i, a + j, i, j - i) for i, j in zip(edges, edges[1:])]
+        want += [(a + i, a + j, j - i) for i, j in zip(edges, edges[1:])]
     assert sorted(runs) == want
     assert len(idents) <= t
+
+
+def test_sweep_gives_each_part_its_rows_of_one_work_block(monkeypatch):
+    # the sweep owns the parts' second buffer: each part gets its own rows
+    # of it, laid out as its scores, and mode "all" copies group columns
+    # there rather than into a buffer of its own
+    ds, cat = _IDENTITY_CORPORA["3groups"]
+    params = _identity_models(ds)["random"]
+    _set_rows(monkeypatch, 12, ds.num_items)
+    monkeypatch.setattr(evaluation, "THREADS", 3)
+    js = evaluation._GroupJS(params, ds, cat)
+    evaluation._sweep(params, ds, on_block=js)
+    sweep, add = evaluation._sweep, evaluation._MeanJS.add
+    runs, working, added = [], {}, []
+
+    def watched(params, dataset, users=None, *, on_block=None, part=None):
+        def handed(lo, hi, scores, work):
+            runs.append((lo, hi, scores, work))
+            working[threading.get_ident()] = work
+            return part(lo, hi, scores, work)
+
+        return sweep(params, dataset, users, on_block=on_block, part=handed)
+
+    def adding(self, a, x):
+        added.append(np.shares_memory(x, working[threading.get_ident()]))
+        return add(self, a, x)
+
+    monkeypatch.setattr(evaluation, "_sweep", watched)
+    monkeypatch.setattr(evaluation._MeanJS, "add", adding)
+    js.all()
+    assert len(added) == len(runs) * cat.num_groups and all(added)
+    base = runs[0][3].base
+    for a, b in evaluation._blocks(ds.num_users, ds.num_items):
+        parts = [run for run in runs if a <= run[0] < b]
+        assert sorted((lo, hi) for lo, hi, _, _ in parts) == [
+            (a + (b - a) * p // 3, a + (b - a) * (p + 1) // 3) for p in range(3)
+        ]
+        for lo, hi, scores, work in parts:
+            assert work.flags.c_contiguous
+            assert work.shape == scores.shape == (hi - lo, ds.num_items)
+            assert np.shares_memory(work, base)
+            assert not np.shares_memory(work, scores)
+        for p, (_, _, _, work) in enumerate(parts):
+            for _, _, _, other in parts[p + 1 :]:
+                assert not np.shares_memory(work, other)
 
 
 def test_evaluate_model_raises_a_parts_error_unchanged(monkeypatch):
@@ -1247,10 +1321,10 @@ def test_evaluate_model_raises_a_parts_error_unchanged(monkeypatch):
     err = FloatingPointError("in a part")
     pairs = evaluation._block_pairs
 
-    def failing(dataset, split, users, positions=True):
+    def failing(dataset, split, users):
         if split == "val" and threading.current_thread() is not main:
             raise err
-        return pairs(dataset, split, users, positions)
+        return pairs(dataset, split, users)
 
     monkeypatch.setattr(evaluation, "_block_pairs", failing)
     with pytest.raises(FloatingPointError) as caught:
