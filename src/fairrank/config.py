@@ -8,11 +8,12 @@ change, seed included, gets a fresh one.
 
 import configparser
 import hashlib
+import io
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
-from .data import SyntheticSpec
+from .data import SyntheticSpec, read_text
 from .errors import ConfigError
 from .evaluation import EXCLUDE_TRAIN, EXCLUDE_TRAIN_VAL
 from .trainer import TrainConfig
@@ -186,10 +187,13 @@ def load_config(path, validate_train=True):
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    # read by the CSV files' rule: a leading BOM dropped, and an unreadable
+    # or non-UTF-8 file is a ConfigError naming the path; newline=None
+    # reads "\r\n" and "\r" as "\n", as a text-mode open() does
+    text = read_text(path, ConfigError)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_file(io.StringIO(text, newline=None), source=path)
     except configparser.Error as exc:
         raise ConfigError(f"config: not valid INI: {exc}")
     for section in parser.sections():

@@ -5,6 +5,7 @@ mapped to dense integer indices in first-seen order; everything downstream
 works on the dense ids.
 """
 
+import codecs
 import csv
 import io
 import logging
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .util import reading
 
 log = logging.getLogger(__name__)
 
@@ -45,23 +47,38 @@ class RawInteractions:
         return len(self.item_index)
 
 
-def _read_text(path):
-    """The whole file as text, a leading BOM dropped, line ends as written.
+def _read_bytes(path, error):
+    """The whole file's bytes, a leading UTF-8 BOM dropped.
 
     Raises:
-        DataError: naming the path, when the file is missing, cannot be
-            read, or is not UTF-8.
+        error: naming the path, when the file is missing or cannot be read.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
+    with reading(Path(path), error) as fh:
+        data = fh.read()
+    return data[len(codecs.BOM_UTF8):] if data.startswith(codecs.BOM_UTF8) else data
+
+
+def _decoded(path, data, error):
+    """``data`` as UTF-8 text, line ends as written.
+
+    Raises:
+        error: naming the path, when ``data`` is not UTF-8.
+    """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+        raise error(f"{Path(path)}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_text(path, error):
+    """The whole file as text, a leading BOM dropped, line ends as written:
+    the CSV files' rule, for the config file.
+
+    Raises:
+        error: naming the path, when the file is missing, cannot be read,
+            or is not UTF-8.
+    """
+    return _decoded(path, _read_bytes(path, error), error)
 
 
 def _read_rows(path, expected_header, text):
@@ -85,15 +102,20 @@ def _read_rows(path, expected_header, text):
 # what csv.reader and str.strip would act on in ASCII text: quotes, NUL,
 # and whitespace other than the "\n" line ends (str.strip drops every
 # isspace character)
-_SPECIAL = '"\x00' + "".join(
-    c for c in map(chr, range(128)) if c.isspace() and c != "\n"
+_SPECIAL = b'"\x00' + bytes(
+    c for c in range(128) if chr(c).isspace() and c != ord("\n")
 )
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
-def _plain_cells(text, header):
-    """The cells of a plain two-column file, row by row, or None when the
-    line scan must read it.
+def _offset_dtype(top):
+    """int32 when offsets up to ``top`` fit in it, else int64."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
+def _plain_bounds(data, header):
+    """The cell bounds (see ``_cells``) of a plain two-column file, or None
+    when the line scan must read it.
 
     Plain means: the header line is exactly ``header``'s names joined by a
     comma, the body is ASCII with no quote, NUL or whitespace other than
@@ -101,46 +123,112 @@ def _plain_cells(text, header):
     non-empty cells.  On such a file the line scan's rows are these cells,
     stripping changes nothing, and no row fails.
     """
-    head, _, body = text.partition("\n")
-    if head != ",".join(header) or not body:
+    head = (",".join(header) + "\n").encode()
+    start = len(head)
+    if not data.startswith(head) or len(data) == start:
         return None
-    if body.endswith("\n"):
-        body = body[:-1]
-    if not body.isascii() or any(c in body for c in _SPECIAL):
+    if not data.isascii() or any(c in data for c in _SPECIAL):
         return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    end = len(data) - (data[-1] == _NEWLINE)
+    is_sep = raw[start:end] == _COMMA
+    is_sep |= raw[start:end] == _NEWLINE
+    seps = np.flatnonzero(is_sep)
+    del is_sep
+    if len(seps) % 2 == 0:
+        return None
+    bounds = np.empty(len(seps) + 2, dtype=_offset_dtype(end + 1))
+    bounds[0], bounds[-1] = start, end + 1
+    np.add(seps, start + 1, out=bounds[1:-1], casting="unsafe")
+    del seps
     # separators must run comma, newline, comma, ..., comma, with a cell
     # of at least one character before, between and after them
-    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
     if (
-        len(seps) % 2 == 0
-        or seps[0] == 0
-        or seps[-1] == len(raw) - 1
-        or (np.diff(seps) < 2).any()
-        or (raw[seps[0::2]] != _COMMA).any()
-        or (raw[seps[1::2]] != _NEWLINE).any()
+        (np.diff(bounds) < 2).any()
+        or (raw[bounds[1:-1:2] - 1] != _COMMA).any()
+        or (raw[bounds[2:-1:2] - 1] != _NEWLINE).any()
     ):
         return None
-    return body.replace("\n", ",").split(",")
-
-
-def _dense_ids(cells):
-    """(ids, index): dense ids of ``cells`` and the external id -> dense id
-    map, ids assigned in first-seen order."""
-    index = dict(zip(dict.fromkeys(cells), range(len(cells))))
-    ids = np.fromiter(
-        map(index.__getitem__, cells), dtype=np.int64, count=len(cells)
-    )
-    return ids, index
+    return bounds
 
 
 def _cells(path, header):
-    """The body cells of a two-column CSV, row by row (row n is line n + 2):
-    in bulk from a plain file (see ``_plain_cells``), else from the line
-    scan, which also judges and reports malformed rows."""
-    text = _read_text(path)
-    cells = _plain_cells(text, header)
-    return list(_read_rows(path, header, text)) if cells is None else cells
+    """(buf, bounds): the body cells of a two-column CSV, row by row (row n
+    is line n + 2), as bytes: cell k is ``buf[bounds[k]:bounds[k + 1] - 1]``.
+
+    The file is read once, as bytes.  A plain file's cells are found in
+    bulk in those bytes (see ``_plain_bounds``).  Any other file goes to
+    the line scan, which also judges and reports malformed rows; its
+    stripped cells are encoded as UTF-8 and joined by a newline.
+    """
+    data = _read_bytes(path, DataError)
+    bounds = _plain_bounds(data, header)
+    if bounds is not None:
+        return data, bounds
+    text = _decoded(path, data, DataError)
+    del data
+    cells = [c.encode() for c in _read_rows(path, header, text)]
+    del text
+    ends = np.cumsum([len(c) + 1 for c in cells], dtype=np.int64)
+    top = int(ends[-1]) if len(ends) else 0
+    bounds = np.concatenate(([0], ends)).astype(_offset_dtype(top))
+    return b"\n".join(cells), bounds
+
+
+# cell bytes per gather step of _dense_ids: its index temporary is 4 bytes
+# a cell byte (int32 offsets), so 1 MiB at most
+_GATHER = 1 << 18
+
+
+def _dense_ids(buf, bounds, column):
+    """(ids, index) of column ``column`` of the two-column cells ``buf,
+    bounds`` (see ``_cells``): the dense id of each cell, and the external
+    id -> dense id map, ids assigned in first-seen order.
+
+    No Python object is made per cell: only the distinct cells are decoded.
+    The cells are compared as bytes, one width at a time.  Each width's
+    cells are gathered into the rows of a (count, width) ``uint8`` matrix,
+    viewed as ``S{width}`` and numbered by ``np.unique``.  So the matrices
+    hold the column's bytes and no padding, whatever one long id's width;
+    and cells that differ only by trailing NULs, which ``S`` comparison
+    ignores, have different widths and are never compared.
+    """
+    starts = bounds[column:-1:2]
+    widths = bounds[column + 1 :: 2] - starts
+    widths -= 1
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    by_width = np.argsort(widths, kind="stable")
+    cuts = np.flatnonzero(np.diff(widths[by_width])) + 1
+    ids = np.empty(len(starts), dtype=np.int64)
+    firsts = [np.empty(0, dtype=np.int64)]
+    num_ids = 0
+    for rows in np.split(by_width, cuts) if len(by_width) else ():
+        w = int(widths[rows[0]])
+        keys = np.empty((len(rows), w), dtype=np.uint8)
+        step = max(1, _GATHER // w)
+        for lo in range(0, len(rows), step):
+            at = starts[rows[lo : lo + step]]
+            keys[lo : lo + step] = raw[at[:, None] + np.arange(w, dtype=at.dtype)]
+        _, first, inverse = np.unique(
+            keys.view(f"S{w}").ravel(), return_index=True, return_inverse=True
+        )
+        del keys
+        inverse += num_ids
+        ids[rows] = inverse
+        firsts.append(rows[first])
+        num_ids += len(first)
+    # renumber: the id of each distinct cell is the rank of its first cell
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(num_ids)
+    ids = rank[ids]
+    first = first[order]
+    names = [
+        buf[a : a + w].decode()
+        for a, w in zip(starts[first].tolist(), widths[first].tolist())
+    ]
+    return ids, dict(zip(names, range(num_ids)))
 
 
 def load_interactions(path):
@@ -159,12 +247,12 @@ def load_interactions(path):
         DataError: on a missing or unreadable file, malformed row, or an
             empty dataset.
     """
-    cells = _cells(path, ["user_id", "item_id"])
-    if not cells:
+    buf, bounds = _cells(path, ["user_id", "item_id"])
+    if len(bounds) == 1:
         raise DataError(f"{path}: empty dataset")
-    users, user_index = _dense_ids(cells[0::2])
-    items, item_index = _dense_ids(cells[1::2])
-    del cells
+    users, user_index = _dense_ids(buf, bounds, 0)
+    items, item_index = _dense_ids(buf, bounds, 1)
+    del buf, bounds
     # first occurrence of each pair, in file order
     _, first = np.unique(users * len(item_index) + items, return_index=True)
     first.sort()
@@ -212,16 +300,19 @@ def load_groups(path, item_index):
         DataError: on an unreadable file or malformed row, for an item id
             absent from ``item_index``, or when an item has no group label.
     """
-    cells = _cells(path, ["item_id", "group"])
-    items = cells[0::2]
-    try:
-        item_ids = list(map(item_index.__getitem__, items))
-    except KeyError as exc:
+    buf, bounds = _cells(path, ["item_id", "group"])
+    # the file's own item ids, then each one's interaction index
+    local, items = _dense_ids(buf, bounds, 0)
+    item_ids = np.array([item_index.get(i, -1) for i in items], dtype=np.int64)
+    item_ids = item_ids[local]
+    unknown = np.flatnonzero(item_ids < 0)
+    if len(unknown):
+        row = unknown[0]
         raise DataError(
-            f"{path}:{items.index(exc.args[0]) + 2}: item '{exc.args[0]}' "
+            f"{path}:{row + 2}: item '{list(items)[local[row]]}' "
             "not in interaction index"
-        ) from None
-    group_ids, names = _dense_ids(cells[1::2])
+        )
+    group_ids, names = _dense_ids(buf, bounds, 1)
     memberships = np.zeros((len(item_index), len(names)), dtype=np.uint8)
     memberships[item_ids, group_ids] = 1
     uncovered = np.flatnonzero(memberships.sum(axis=1) == 0)

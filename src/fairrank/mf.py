@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import Scratch
+from .util import Scratch, reading
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -211,12 +211,13 @@ def load_checkpoint(path):
         (params, adversary or None, config_hash)
 
     Raises:
-        DataError: if the file is not a complete, well-formed checkpoint,
-            or its factors are not two matrices of one width.
+        DataError: if the file is missing or cannot be read, is not a
+            complete, well-formed checkpoint, or its factors are not two
+            matrices of one width.
     """
     from .adversary import AdversaryParams
 
-    with open(path, "rb") as fh:
+    with reading(path, DataError) as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))

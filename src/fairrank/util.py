@@ -1,8 +1,26 @@
-"""Small numeric helpers."""
+"""Small numeric helpers, and the one rule for opening input files."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
+
+
+@contextmanager
+def reading(path, error):
+    """``path`` open for binary reading.
+
+    Raises:
+        error: naming the path, when the file is missing, or when opening
+            or reading it fails with an ``OSError`` (a directory, say).
+    """
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise error(f"file not found: {path}") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
 
 
 def sigmoid(z):

@@ -296,6 +296,25 @@ def test_eval_malformed_checkpoint_is_domain_error(
     assert err.startswith("error: ") and fragment in err
 
 
+@pytest.mark.parametrize("command", ["eval", "audit"])
+def test_missing_or_unreadable_checkpoint_is_domain_error(
+    command, corpus_dir, tmp_path, capsys
+):
+    ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
+    args = {
+        "eval": ["eval", "--config", ini],
+        "audit": ["audit", "--interactions", str(corpus_dir / "interactions.csv"),
+                  "--groups", str(corpus_dir / "groups.csv")],
+    }[command]
+    missing = str(tmp_path / "nope.ckpt")
+    for path, message in [
+        (missing, f"file not found: {missing}"),
+        (str(tmp_path), f"{tmp_path}: cannot read (Is a directory)"),
+    ]:
+        assert main(args + ["--checkpoint", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_eval_non_finite_checkpoint_is_domain_error(corpus_dir, tmp_path, capsys):
     ini = _exp_ini(tmp_path / "exp.ini", corpus_dir, out_dir=tmp_path / "runs")
     assert main(["train", "--config", ini]) == 0

@@ -306,6 +306,32 @@ def test_file_errors(tmp_path):
         _load(tmp_path, "key = outside any section\n")
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    # an uncaught UnicodeDecodeError before
+    path = tmp_path / "exp.ini"
+    path.write_bytes(b"[data]\ninteractions = caf\xe9.csv\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
+
+
+def test_config_directory_is_a_config_error(tmp_path):
+    # an uncaught IsADirectoryError before
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(tmp_path))
+    assert str(exc.value) == f"{tmp_path}: cannot read (Is a directory)"
+
+
+def test_config_with_a_bom_reads_as_without(tmp_path):
+    # failed as "not valid INI: File contains no section headers", though
+    # both CSV files accept a BOM
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL_INI.encode())
+    cfg = load_config(str(path))
+    assert cfg.resolved_text() == MINIMAL_RESOLVED
+    assert cfg.config_hash() == _load(tmp_path, MINIMAL_INI).config_hash()
+
+
 def test_validate_train_false_defers_training_checks(tmp_path):
     cfg = _load(tmp_path, "[train]\nmodel = dpr-rsp\n", validate_train=False)
     assert cfg.train.weights.alpha is None

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,8 @@ _LOADER_INPUTS = {
     "header_only_no_newline": b"user_id,item_id",
     "empty_file": b"",
     "unicode_ids": "user_id,item_id\nélodie,ü\nzoë,ü\n".encode(),
+    # two users: bytes compared as S2 and S1 would merge them
+    "nul_suffix": b'user_id,item_id\n"a\x00",x\na,x\n',
 }
 
 
@@ -554,6 +557,49 @@ def test_load_interactions_non_ascii_file_takes_line_scan(monkeypatch, tmp_path)
     monkeypatch.setattr(data, "_read_rows", no_line_scan)
     with pytest.raises(AssertionError, match="line scan used"):
         load_interactions(str(path))
+
+
+def _load_peak_ratio(path):
+    """load_interactions' traced peak allocation over the file's bytes."""
+    tracemalloc.start()
+    try:
+        load_interactions(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / path.stat().st_size
+
+
+# a str per cell made the loader peak at 16.5x the bytes of a plain file
+MAX_LOAD_PEAK_RATIO = 10
+
+
+def test_load_interactions_peak_memory_is_bounded(tmp_path):
+    rng = np.random.default_rng(0)
+    pairs = np.stack(
+        (np.repeat(np.arange(5000), 20), rng.integers(0, 2000, 100_000)), axis=1
+    )
+    path = tmp_path / "big.csv"
+    _write_pairs_csv(path, pairs)
+    assert _load_peak_ratio(path) < MAX_LOAD_PEAK_RATIO
+
+
+def test_load_interactions_long_id(monkeypatch, tmp_path):
+    import fairrank.data as data
+
+    # one 4096-byte id among 20k rows: cells padded to the longest id would
+    # take 20k x 4 KiB
+    rng = np.random.default_rng(1)
+    rows = [f"u{u},i{i}\n" for u, i in rng.integers(0, [3000, 700], (20_000, 2))]
+    long_id = "L" * 4096
+    rows[7000] = f"{long_id},i5\n"
+    rows[15000] = f"u3,{long_id}\n"
+    path = tmp_path / "long.csv"
+    path.write_text("user_id,item_id\n" + "".join(rows), encoding="utf-8")
+    monkeypatch.setattr(data, "_read_rows", _no_line_scan)
+    got, _ = _assert_same_load(path)
+    assert long_id in got.user_index and long_id in got.item_index
+    assert _load_peak_ratio(path) < MAX_LOAD_PEAK_RATIO
 
 
 def test_loaders_reject_unreadable_files(tmp_path, small_raw):

@@ -351,6 +351,17 @@ def test_checkpoint_errors(tmp_path):
             load_checkpoint(str(bad))
 
 
+def test_checkpoint_missing_or_unreadable_is_a_data_error(tmp_path):
+    # these escaped as FileNotFoundError and IsADirectoryError
+    missing = str(tmp_path / "nope.ckpt")
+    with pytest.raises(DataError) as exc:
+        load_checkpoint(missing)
+    assert str(exc.value) == f"file not found: {missing}"
+    with pytest.raises(DataError) as exc:
+        load_checkpoint(str(tmp_path))
+    assert str(exc.value) == f"{tmp_path}: cannot read (Is a directory)"
+
+
 @pytest.mark.parametrize("name", sorted(BAD_CHECKPOINT_SHAPES))
 def test_checkpoint_bad_shapes_are_refused(name, tmp_path):
     shape, fragment = BAD_CHECKPOINT_SHAPES[name]
