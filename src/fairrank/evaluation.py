@@ -65,6 +65,8 @@ class RankingResult:
     lengths: np.ndarray
     k: int
     exclude: str
+    # (dataset, split) -> _hits at full depth
+    _held_out: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def lists(self):
@@ -257,10 +259,17 @@ def _top(ranking, dataset, k):
     return k, ranking.items[:, :k]
 
 
-def _hits(dataset, top, split="test"):
-    """(N, k) bool: ranked item is a held-out ``split`` positive (not padding)."""
-    member = dataset.in_test if split == "test" else dataset.in_val
-    return member(np.arange(len(top))[:, None], top) & (top >= 0)
+def _hits(ranking, dataset, k, split="test"):
+    """(N, k) bool: ranked item is a held-out ``split`` positive (not
+    padding).  The whole ranking is tested once per dataset and split, and
+    kept on it; each k reads the first k columns."""
+    key = (dataset, split)
+    if key not in ranking._held_out:
+        member = dataset.in_test if split == "test" else dataset.in_val
+        items = ranking.items
+        hits = member(np.arange(len(items))[:, None], items)
+        ranking._held_out[key] = hits & (items >= 0)
+    return ranking._held_out[key][:, :k]
 
 
 def _check_catalog(dataset, catalog):
@@ -321,7 +330,8 @@ def prob_reo(ranking, dataset, catalog, k=None):
     _check_catalog(dataset, catalog)
     k, top = _top(ranking, dataset, k)
     denom = _group_sums(dataset.test_items, catalog)
-    return _group_probs(top[_hits(dataset, top)], denom, catalog, "test positives")
+    hits = _hits(ranking, dataset, k)
+    return _group_probs(top[hits], denom, catalog, "test positives")
 
 
 def relative_std(values):
@@ -343,12 +353,12 @@ def f1_at_k(ranking, dataset, k=None, split="test"):
     """
     if split not in ("test", "val"):
         raise ValueError(f"split: must be 'test' or 'val', got '{split}'")
-    k, top = _top(ranking, dataset, k)
+    k, _ = _top(ranking, dataset, k)
     sizes = np.diff(dataset.test_indptr if split == "test" else dataset.val_indptr)
     has = sizes > 0
     if not has.any():
         raise DataError(f"f1_at_k: no user has {split} items")
-    hits = _hits(dataset, top, split).sum(axis=1)[has]
+    hits = _hits(ranking, dataset, k, split).sum(axis=1)[has]
     p = hits / k
     r = hits / sizes[has]
     values = np.divide(2 * p * r, p + r, out=np.zeros_like(p), where=p + r != 0)
@@ -357,12 +367,12 @@ def f1_at_k(ranking, dataset, k=None, split="test"):
 
 def ndcg_at_k(ranking, dataset, k=None):
     """Mean per-user NDCG@k with binary relevance and log2 discount."""
-    k, top = _top(ranking, dataset, k)
+    k, _ = _top(ranking, dataset, k)
     sizes = np.diff(dataset.test_indptr)
     has = sizes > 0
     if not has.any():
         raise DataError("ndcg_at_k: no user has test items")
-    rel = _hits(dataset, top)[has].astype(np.float64)
+    rel = _hits(ranking, dataset, k)[has].astype(np.float64)
     lengths = np.minimum(ranking.lengths[has], k)
     ideal_len = np.minimum(sizes[has], k)
     dcg, ideal = np.empty((2, len(rel)))

@@ -603,7 +603,9 @@ def _ref_read_rows(path, expected_header):
             raise DataError(
                 f"{path}: expected header '{','.join(expected_header)}'"
             )
-        for lineno, row in enumerate(reader, start=2):
+        # the line each row starts on: a quoted cell may span lines
+        lineno = reader.line_num + 1
+        for row in reader:
             if len(row) != len(expected_header):
                 raise DataError(
                     f"{path}:{lineno}: expected {len(expected_header)} "
@@ -613,6 +615,7 @@ def _ref_read_rows(path, expected_header):
             if any(not c for c in cells):
                 raise DataError(f"{path}:{lineno}: empty field")
             yield lineno, cells
+            lineno = reader.line_num + 1
 
 
 def ref_load_interactions(path):

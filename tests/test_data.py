@@ -602,6 +602,121 @@ def test_load_interactions_long_id(monkeypatch, tmp_path):
     assert _load_peak_ratio(path) < MAX_LOAD_PEAK_RATIO
 
 
+def _write_rows(path, rows, line_end="\n"):
+    body = "".join(f"{u},{i}{line_end}" for u, i in rows)
+    path.write_bytes(f"user_id,item_id{line_end}{body}".encode())
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["bulk", "line_scan"])
+def test_load_interactions_ids_of_one_to_three_words(line_end, monkeypatch, tmp_path):
+    import fairrank.data as data
+
+    # 7 to 17 bytes: ids are numbered by 64-bit words, so these take one,
+    # two and three; each width's ids share their first 8 or 16 bytes
+    ids = [f"{n:07d}" for n in range(30)] + [f"{n:08d}" for n in range(30)]
+    ids += [f"abcdefgh{n % 10}" for n in range(10)]
+    ids += [f"abcdefgh{n:0{w - 8}d}" for w in (15, 16) for n in range(30)]
+    ids += [f"abcdefghijklmnop{n % 10}" for n in range(10)]
+    ids += ["abcdefghijklmno", "abcdefghijklmnop"]
+    rng = np.random.default_rng(7)
+    rows = [(ids[u], ids[i]) for u, i in rng.integers(0, len(ids), (3000, 2))]
+    path = tmp_path / "widths.csv"
+    _write_rows(path, rows, line_end)
+    if line_end == "\n":
+        monkeypatch.setattr(data, "_read_rows", _no_line_scan)
+    got, err = _assert_same_load(path)
+    assert err is None
+    assert {len(i) for i in got.user_index} == {7, 8, 9, 15, 16, 17}
+
+
+def test_load_interactions_nul_ended_id_is_not_its_prefix(tmp_path):
+    # 8 bytes and the same 8 plus a NUL: zero-padded to two words, the
+    # longer one reads as the shorter one's bytes and its padding
+    path = tmp_path / "nul.csv"
+    path.write_bytes(
+        b'user_id,item_id\n"abcdefgh\x00",x\nabcdefgh,x\n'
+        b'abcdefgh,"y\x00"\n"abcdefgh\x00",y\n'
+    )
+    got, err = _assert_same_load(path)
+    assert err is None
+    assert list(got.user_index) == ["abcdefgh\x00", "abcdefgh"]
+    assert list(got.item_index) == ["x", "y\x00", "y"]
+
+
+def test_load_interactions_matches_line_scan_on_shuffled_wide_ids(
+    monkeypatch, tmp_path
+):
+    import fairrank.data as data
+
+    # reviewer-like 14-byte users and ASIN-like 10-byte items, rows in no
+    # order, a tenth of them repeated
+    rng = np.random.default_rng(8)
+    users = [f"A{x:013d}" for x in rng.integers(0, 10**13, 400)]
+    items = [f"B{x:09d}" for x in rng.integers(0, 10**9, 300)]
+    rows = rng.integers(0, [400, 300], (6000, 2))
+    rows = np.concatenate([rows, rows[:600]])[rng.permutation(6600)]
+    path = tmp_path / "wide.csv"
+    _write_rows(path, [(users[u], items[i]) for u, i in rows])
+    monkeypatch.setattr(data, "_read_rows", _no_line_scan)
+    got, err = _assert_same_load(path)
+    assert err is None and got.num_users > 300 and got.num_items > 250
+
+
+def test_load_interactions_ids_sharing_a_long_prefix(monkeypatch, tmp_path):
+    import fairrank.data as data
+
+    # 40-byte ids that differ in their last byte only: four words equal in
+    # every cell, then one that splits them
+    prefix = "http://example.com/catalogue/items/x/y/"
+    rng = np.random.default_rng(9)
+    rows = [
+        (f"{prefix}{chr(48 + u)}", f"{prefix}{chr(48 + i)}")
+        for u, i in rng.integers(0, [60, 40], (20_000, 2))
+    ]
+    path = tmp_path / "prefix.csv"
+    _write_rows(path, rows)
+    monkeypatch.setattr(data, "_read_rows", _no_line_scan)
+    got, err = _assert_same_load(path)
+    assert err is None and got.num_users == 60 and got.num_items == 40
+    assert _load_peak_ratio(path) < MAX_LOAD_PEAK_RATIO
+
+
+def test_load_interactions_word_keys_that_would_overflow(monkeypatch, tmp_path):
+    import fairrank.data as data
+
+    # 17-byte hex ids, three distinct first words: the second word spans
+    # far more than the key bound over 3, so it is numbered first; when
+    # 3 times its distinct count is past the bound too, the load is refused
+    rng = np.random.default_rng(10)
+    ids = [f"{a:08x}{b:09x}" for a, b in rng.integers(0, [3, 2**36], (200, 2))]
+    path = tmp_path / "hex.csv"
+    _write_rows(path, [(ids[u], "x") for u in rng.integers(0, 200, 1000)])
+    monkeypatch.setattr(data, "_INT64_KEYS", 1 << 20)
+    got, err = _assert_same_load(path)
+    assert err is None and got.num_users > 150
+    monkeypatch.setattr(data, "_INT64_KEYS", 256)
+    with pytest.raises(DataError, match="ids of 17 bytes: too many to number"):
+        load_interactions(str(path))
+
+
+def test_line_scan_reports_the_line_a_row_starts_on(tmp_path):
+    # a quoted cell spans lines 2 and 3, so the one-cell row is line 4
+    path = tmp_path / "ml.csv"
+    path.write_bytes(b'user_id,item_id\n"a\nb",x\nc\n')
+    _, err = _assert_same_load(path)
+    assert err == f"{path}:4: expected 2 columns, got 1"
+    path.write_bytes(b'user_id,item_id\n"a\nb",x\n"c\nd",y,z\n')
+    _, err = _assert_same_load(path)
+    assert err == f"{path}:4: expected 2 columns, got 3"
+
+
+def test_load_groups_unknown_item_line_after_a_multiline_cell(tmp_path, small_raw):
+    path = tmp_path / "g.csv"
+    path.write_bytes(b'item_id,group\napple,"red\nand green"\nmango,red\n')
+    with pytest.raises(DataError, match=r"g\.csv:4: item 'mango' not in"):
+        load_groups(str(path), small_raw.item_index)
+
+
 def test_loaders_reject_unreadable_files(tmp_path, small_raw):
     not_utf8 = tmp_path / "latin.csv"
     not_utf8.write_bytes(b"user_id,item_id\na,x\nb,\xff\xfey\n")

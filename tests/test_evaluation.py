@@ -158,6 +158,37 @@ def test_evaluate_model_counts_a_repeated_k_once():
     assert twice.to_json() == once.to_json()
 
 
+def test_evaluate_model_tests_each_ranked_item_once(monkeypatch):
+    # prob_reo, f1_at_k and ndcg_at_k each tested the top k for every k
+    rng = np.random.default_rng(0)
+    ds = random_dataset(rng, 40, 30)
+    cat = random_catalog(rng, 30, 2)
+    params = init_params(40, 30, 4, seed=1)
+    want = evaluate_model(params, ds, cat, js_user_pairs=50).to_json()
+    shapes = []
+    in_test = type(ds).in_test
+
+    def counted(self, users, items):
+        shapes.append(np.broadcast(users, items).shape)
+        return in_test(self, users, items)
+
+    monkeypatch.setattr(type(ds), "in_test", counted)
+    assert evaluate_model(params, ds, cat, js_user_pairs=50).to_json() == want
+    assert shapes == [(40, 15)]
+
+
+def test_ranking_hits_are_kept_per_dataset():
+    # one ranking read against two datasets of the same shape
+    rng = np.random.default_rng(3)
+    ds, other = random_dataset(rng, 30, 20), random_dataset(rng, 30, 20)
+    params = init_params(30, 20, 4, seed=2)
+    ranking = rank_topk(params, ds, 10)
+    got = [f1_at_k(ranking, d, k=5) for d in (ds, other, ds)]
+    fresh = [f1_at_k(rank_topk(params, ds, 10), d, k=5) for d in (ds, other)]
+    assert got == [fresh[0], fresh[1], fresh[0]]
+    assert got[0] != got[1]
+
+
 @pytest.mark.parametrize("other", [(40, 30), (60, 45)], ids=["users", "items"])
 @pytest.mark.parametrize("metric", ["f1", "ndcg", "rsp", "reo"])
 def test_metrics_refuse_a_ranking_of_another_dataset(metric, other):
