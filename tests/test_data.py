@@ -717,6 +717,43 @@ def test_load_groups_unknown_item_line_after_a_multiline_cell(tmp_path, small_ra
         load_groups(str(path), small_raw.item_index)
 
 
+@pytest.mark.parametrize("top", [2**20, 2**63 - 1], ids=["packed", "argsort"])
+def test_first_ids_matches_unique(top):
+    from fairrank.data import _first_ids
+
+    # keys below 2**20 leave room for their positions; keys up to 2**63,
+    # and negative ones, do not
+    rng = np.random.default_rng(12)
+    keys = rng.integers(0, top, 500)[rng.integers(0, 500, 5000)]
+    if top > 2**20:
+        keys[::7] = -keys[::7]
+    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = _first_ids(keys)
+    assert first.tolist() == index.tolist()
+    assert keys.tolist() == inverse.tolist()
+
+
+@pytest.mark.parametrize("newline", [False, True], ids=["bulk", "line_scan"])
+def test_load_interactions_names_decoded_in_runs(newline, monkeypatch, tmp_path):
+    import fairrank.data as data
+
+    # 3000 users hold 33 KB of names, so they are decoded over several
+    # runs; one id is longer than a run, and one may hold a newline
+    rng = np.random.default_rng(13)
+    users = [f"user-{n:06d}" for n in range(3000)] + ["L" * 20_000]
+    users += ['"a\nb"'] if newline else []
+    rows = rng.integers(0, [len(users), 50], (12_000, 2))
+    rows[:len(users), 0] = rng.permutation(len(users))
+    path = tmp_path / "names.csv"
+    _write_rows(path, [(users[u], f"i{i}") for u, i in rows])
+    if not newline:
+        monkeypatch.setattr(data, "_read_rows", _no_line_scan)
+    got, err = _assert_same_load(path)
+    assert err is None and got.num_users == len(users)
+    assert "L" * 20_000 in got.user_index
+    assert ("a\nb" in got.user_index) == newline
+
+
 def test_loaders_reject_unreadable_files(tmp_path, small_raw):
     not_utf8 = tmp_path / "latin.csv"
     not_utf8.write_bytes(b"user_id,item_id\na,x\nb,\xff\xfey\n")
