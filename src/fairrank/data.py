@@ -292,41 +292,6 @@ def _word_ids(words, at, width):
     return first, ids
 
 
-# bytes of cells _decode_cells gathers at once, which bounds its temporaries
-_DECODE_BYTES = 1 << 14
-
-
-def _decode_cells(buf, starts, widths):
-    """``buf[a : a + w].decode()`` for each ``a, w`` of ``starts, widths``.
-
-    About ``_DECODE_BYTES`` bytes of cells at a time are gathered into one
-    buffer, each cell followed by a newline, decoded at once and split at
-    the newlines.  Only a run holding a cell with a newline of its own (a
-    quoted cell of the line scan) is decoded cell by cell.
-    """
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    sizes = widths.astype(np.int64) + 1
-    ends = np.cumsum(sizes)
-    names, lo = [], 0
-    while lo < len(starts):
-        base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(ends.searchsorted(base + _DECODE_BYTES, "right")))
-        size, end = sizes[lo:hi], ends[lo:hi] - base
-        at = np.arange(end[-1])
-        at -= np.repeat(end - size - starts[lo:hi], size)
-        joined = raw.take(at, mode="clip")
-        joined[end - 1] = _NEWLINE
-        run = joined.tobytes().decode().split("\n")[:-1]
-        if len(run) != hi - lo:
-            run = [
-                buf[a : a + w - 1].decode()
-                for a, w in zip(starts[lo:hi].tolist(), size.tolist())
-            ]
-        names += run
-        lo = hi
-    return names
-
-
 def _dense_ids(buf, bounds, column):
     """(ids, index) of column ``column`` of the two-column cells ``buf,
     bounds`` (see ``_cells``): the dense id of each cell, and the external
@@ -366,7 +331,10 @@ def _dense_ids(buf, bounds, column):
     rank[order] = np.arange(num_ids)
     ids = rank[ids]
     first = first[order]
-    names = _decode_cells(buf, starts[first], widths[first])
+    names = [
+        buf[a : a + w].decode()
+        for a, w in zip(starts[first].tolist(), widths[first].tolist())
+    ]
     return ids, dict(zip(names, range(num_ids)))
 
 

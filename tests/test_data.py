@@ -734,13 +734,14 @@ def test_first_ids_matches_unique(top):
 
 
 @pytest.mark.parametrize("newline", [False, True], ids=["bulk", "line_scan"])
-def test_load_interactions_names_decoded_in_runs(newline, monkeypatch, tmp_path):
+def test_load_interactions_id_wider_than_int16(newline, monkeypatch, tmp_path):
     import fairrank.data as data
 
-    # 3000 users hold 33 KB of names, so they are decoded over several
-    # runs; one id is longer than a run, and one may hold a newline
+    # one id of 2**16 + 11 bytes, which an int16 width would mistake for
+    # the 11 bytes of the other users; one id may hold a newline
     rng = np.random.default_rng(13)
-    users = [f"user-{n:06d}" for n in range(3000)] + ["L" * 20_000]
+    long_id = "L" * (2**16 + 11)
+    users = [f"user-{n:06d}" for n in range(3000)] + [long_id]
     users += ['"a\nb"'] if newline else []
     rows = rng.integers(0, [len(users), 50], (12_000, 2))
     rows[:len(users), 0] = rng.permutation(len(users))
@@ -750,7 +751,7 @@ def test_load_interactions_names_decoded_in_runs(newline, monkeypatch, tmp_path)
         monkeypatch.setattr(data, "_read_rows", _no_line_scan)
     got, err = _assert_same_load(path)
     assert err is None and got.num_users == len(users)
-    assert "L" * 20_000 in got.user_index
+    assert long_id in got.user_index
     assert ("a\nb" in got.user_index) == newline
 
 
